@@ -2,7 +2,7 @@
 
 Measures, for the executor-backed compiled kernels:
 
-* wall-time speedup of the vector (NumPy slice / einsum) backend over the
+* wall-time speedup of the vector (NumPy slice / matmul) backend over the
   scalar reference backend on the Figure 9 vgemm and Figure 10 trmm
   workloads (scaled down so the scalar interpreter finishes in seconds --
   the *ratio* is what matters, and it grows with the problem size);

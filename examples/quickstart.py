@@ -54,9 +54,9 @@ def main() -> None:
     # 3. Compile and run.
     #
     # The executor compiles through a codegen *backend*:
-    #   - "vector" (default): the inner loops collapse into NumPy slice /
-    #     einsum operations over the flat buffers -- orders of magnitude
-    #     faster, with automatic fallback to the scalar backend for
+    #   - "vector" (default): the inner loops collapse into NumPy
+    #     matmul / ufunc operations computed straight into views of the
+    #     flat buffers -- orders of magnitude faster, with automatic fallback to the scalar backend for
     #     constructs it cannot vectorize (this fused schedule is one);
     #   - "scalar": the readable reference emitter, one Python loop per
     #     axis, used here so the printed kernel shows the loop nest.

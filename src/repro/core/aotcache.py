@@ -24,12 +24,15 @@ disk tier (correctness never depends on cacheability).
 Entries are pickled dicts written atomically (temp file +
 ``os.replace``) under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; any
 load failure (truncation, corruption, version skew, unpicklable
-content) is treated as a miss, never an error.
+content) is treated as a miss, never an error -- but an entry that
+exists and is rejected logs an ``aot_cache.entry_rejected`` event, so
+the degradation to a recompile is visible.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
 import pickle
@@ -40,7 +43,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.codegen import GeneratedKernel
+from repro.core.codegen import GeneratedKernel, compile_kernel_source
 from repro.core.extents import ConstExtent, Extent, PaddedExtent, VarExtent
 from repro.core.ir import (
     BinOp,
@@ -55,8 +58,13 @@ from repro.core.lowering import LoweredKernel
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
 
-#: Bump when the entry payload or fingerprint scheme changes shape.
-AOT_VERSION = 1
+_LOG = logging.getLogger(__name__)
+
+#: Bump when the entry payload, the fingerprint scheme or the *generated
+#: source* changes shape (a stale kernel must never be rebuilt against a
+#: newer runtime).  2: store-through vector emission (kernels fill their
+#: own outputs; new runtime helper signatures).
+AOT_VERSION = 2
 
 
 class Uncacheable(Exception):
@@ -261,6 +269,7 @@ class AOTCache:
             "fn_name": generated.fn.__name__,
             "backend": generated.backend,
             "fallback_reason": generated.fallback_reason,
+            "fills_output": generated.fills_output,
             # Bucketed vector kernels close over their compile-time bucket
             # partition; rebuild needs it back in the namespace.
             "buckets": generated.fn.__globals__.get("_BUCKETS"),
@@ -269,23 +278,20 @@ class AOTCache:
     @staticmethod
     def _rebuild(payload: Dict[str, object]) -> Tuple[LoweredKernel,
                                                       GeneratedKernel]:
-        from repro.core.codegen_vector import _gather_slices, _scatter_slices
+        from repro.core.codegen_vector import KERNEL_NAMESPACE
         lowered = payload["lowered"]
         source = payload["source"]
-        namespace: Dict[str, object] = {
-            "np": np,
-            "math": math,
-            "_gather_slices": _gather_slices,
-            "_scatter_slices": _scatter_slices,
-        }
+        namespace: Dict[str, object] = {"math": math, **KERNEL_NAMESPACE}
         if payload.get("buckets") is not None:
             namespace["_BUCKETS"] = payload["buckets"]
-        exec(compile(source, f"<cora-aot:{lowered.name}>", "exec"), namespace)
+        exec(compile_kernel_source(source, f"<cora-aot:{lowered.name}>"),
+             namespace)
         fn = namespace[payload["fn_name"]]
         generated = GeneratedKernel(
             name=lowered.name, source=source, fn=fn,
             backend=payload["backend"],
-            fallback_reason=payload.get("fallback_reason"))
+            fallback_reason=payload.get("fallback_reason"),
+            fills_output=payload["fills_output"])
         return lowered, generated
 
     # -- public API ----------------------------------------------------------
@@ -296,12 +302,21 @@ class AOTCache:
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
-            if not isinstance(payload, dict) \
-                    or payload.get("version") != AOT_VERSION:
-                raise ValueError("stale or malformed cache entry")
+            version = payload.get("version") \
+                if isinstance(payload, dict) else None
+            if version != AOT_VERSION:
+                raise ValueError(
+                    f"entry version {version!r}, expected {AOT_VERSION}")
             result = self._rebuild(payload)
-        except Exception:
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except Exception as exc:
+            self.misses += 1
+            _LOG.warning(
+                "aot_cache.entry_rejected key=%s reason=%s: %s",
+                key[:12], type(exc).__name__, exc,
+                extra={"event": "aot_cache.entry_rejected", "key": key})
             return None
         self.hits += 1
         return result

@@ -12,9 +12,10 @@ slow reference emitter next to the fast production one):
   handles every lowered construct and serves as the reference for
   differential testing.
 * :class:`~repro.core.codegen_vector.VectorBackend` -- collapses the inner
-  constant / table-bound loops and the reduction loops into NumPy slice,
-  ``einsum`` and broadcast operations over the flat buffers, falling back
-  to the scalar backend for constructs it cannot vectorize.
+  constant / table-bound loops and the reduction loops into NumPy
+  ``matmul`` / ufunc / reduce operations computed straight into views of
+  the flat buffers, falling back to the scalar backend for constructs it
+  cannot vectorize.
 
 The generated source is kept readable on purpose -- it is part of the
 public surface (``CompiledKernel.source``) and several tests assert
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -71,6 +73,12 @@ class GeneratedKernel:
     backend: str = "scalar"
     #: why a vector-backend request fell back to scalar (``None`` otherwise)
     fallback_reason: Optional[str] = None
+    #: the kernel writes every element of its output buffer(s) -- loop
+    #: region plus any storage padding -- so callers need not pre-zero them
+    fills_output: bool = False
+    #: float32 elements of scratch a fused-region kernel expects as
+    #: ``buffers["ws"]`` (private to the call site; 0 = none)
+    workspace_elements: int = 0
 
     def __call__(self, buffers: Dict[str, np.ndarray], aux: Dict[str, np.ndarray]) -> None:
         self.fn(buffers, aux)
@@ -96,6 +104,18 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
+@lru_cache(maxsize=1024)
+def compile_kernel_source(source: str, filename: str):
+    """``compile`` a generated kernel module, memoised on its text.
+
+    Emitted source does not mention instance lengths (those live in aux
+    tables and the injected ``_BUCKETS``), so the batches a server sees
+    mostly re-emit text it has already byte-compiled; each kernel still
+    ``exec``s the code object into a namespace of its own.
+    """
+    return compile(source, filename, "exec")
+
+
 class CodeGenerator:
     """Generates a Python kernel function for a lowered ragged operator."""
 
@@ -109,7 +129,7 @@ class CodeGenerator:
     def generate(self) -> GeneratedKernel:
         source = self.generate_source()
         namespace: Dict[str, object] = {"math": math, "np": np}
-        exec(compile(source, f"<cora:{self.kernel.name}>", "exec"), namespace)
+        exec(compile_kernel_source(source, f"<cora:{self.kernel.name}>"), namespace)
         fn = namespace[self._fn_name()]
         return GeneratedKernel(name=self.kernel.name, source=source, fn=fn)
 

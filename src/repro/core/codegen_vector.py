@@ -9,14 +9,26 @@ emission modes:
   grouped into *buckets* of identical raggedness signature (identical bound
   -table and storage-shape entries, see
   :func:`repro.core.prelude.bucket_by_signature`).  Each bucket executes as
-  one stacked operation -- the ragged slices are gathered into a dense
-  ``(bucket, ...)`` array, inner and reduction loops become broadcast axes
-  or a single ``np.einsum`` (which dispatches matmul-shaped contractions to
-  BLAS, batched over the bucket axis), and the result is scattered back.
-  The remaining Python loop is O(distinct signatures), not O(batch).
+  one stacked operation over ``(bucket, ...)`` arrays.  A single-instance
+  bucket is addressed through zero-copy strided *views* of the flat
+  slabs; only a multi-instance bucket gathers its inputs into a stack
+  and scatters its output back.  The remaining Python loop is O(distinct
+  signatures), not O(batch).
 * **flat fused gather**: a fused governing vloop (``fuse_loops`` of the
   governing cloop with its vloop) executes as a single flat gather over the
   prelude's ``ffo`` / ``ffi`` fusion maps -- no Python loop at all.
+
+**Store-through emission.**  Every value is computed directly into its
+destination: the body expression becomes a chain of ``ufunc(..., out=dst)``
+calls where ``dst`` is the loop-bounded region of the output slab view (or
+of the bucket's stack), matmul-shaped contractions become
+``np.matmul(lhs, rhs, out=dst)`` with the operand transposes resolved at
+codegen time, and other reductions ``.sum/.max/.min(axis=, out=dst)``.
+There is no ``einsum`` path search, no intermediate broadcast and no
+temporary-then-copy.  A generated kernel writes *every* element of its
+output buffer -- where loop bounds fall short of the storage extents it
+clears exactly the padding strips -- so callers never pre-zero
+(``GeneratedKernel.fills_output``).
 
 Construct coverage (the matrix below is asserted by the differential tests
 in ``tests/test_codegen_vector.py``):
@@ -24,12 +36,20 @@ in ``tests/test_codegen_vector.py``):
 ============================  =========  =====================================
 construct                     backend    how
 ============================  =========  =====================================
-constant / table inner loops  vector     broadcast axes / slice bounds
-sum / max / min reductions    vector     ``einsum`` or broadcast + reduce
+constant / table inner loops  vector     broadcast axes / slice bounds of the
+                                         slab views
+elementwise bodies            vector     ``ufunc(..., out=dst)`` chain into
+                                         the output region
+matmul-shaped contractions    vector     ``np.matmul(a, b_T_view, out=dst)``
+                                         (BLAS, batched over leading axes)
+other sum / max / min         vector     ``.sum/.max/.min(axis=, out=dst)``
+reductions                               over the operand view, or over a
+                                         workspace holding a compound body
 guarded split vloops          vector     split pair collapsed back to the
                                          original domain; the guard becomes
                                          the trailing slice ``[:bound]``
 unguarded (padded) splits     vector     collapsed, bound = tiles * factor
+loop bound < storage extent   vector     padding strips cleared per bucket
 fused governing vloops        vector     flat gather through ``ffo``/``ffi``
 thread remaps                 vector     order-only: stores are disjoint, so
                                          the permutation is a no-op for the
@@ -37,6 +57,10 @@ thread remaps                 vector     order-only: stores are disjoint, so
 table-bound governing chains  vector     bucketed by bound signature
 masked (triangular) SDPA      vector     mask-add operator + softmax chain
                                          (see ``repro.ops.softmax``)
+fused kernel regions          vector     members chained in one bucket loop;
+                                         internal values live in views of a
+                                         caller-provided workspace, reused in
+                                         place where region liveness allows
 loop pad > storage pad        scalar     slice would silently truncate
 diagonal accesses A[b, i, i]  scalar     needs a gather per element
 nested splits                 scalar     split of a split-derived loop
@@ -53,12 +77,18 @@ implementation for differential testing.
 Bucketing note: buckets are computed at *compile* time from the lowered
 kernel's auxiliary arrays (they are baked into the kernel, so the grouping
 can never go stale) and injected into the kernel namespace as ``_BUCKETS``.
+Per-bucket view arithmetic (offsets, shapes) stays at run time on aux
+scalars.  The emitted *text* therefore names no instance lengths, and a
+batch of never-seen raggedness mostly re-emits text that is already
+byte-compiled (:func:`repro.core.codegen.compile_kernel_source`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,6 +98,7 @@ from repro.core.codegen import (
     GeneratedKernel,
     ScalarBackend,
     _Emitter,
+    compile_kernel_source,
 )
 from repro.core.dims import Dim
 from repro.core.errors import LoweringError
@@ -91,6 +122,18 @@ _NP_INTRINSICS = {
     "log": "np.log",
 }
 
+#: Expression nodes usable as a ufunc operand as-is.
+_LEAVES = (Const, LoopVar, TensorAccess)
+
+_NP_BINOPS = {
+    "+": "np.add",
+    "-": "np.subtract",
+    "*": "np.multiply",
+    "/": "np.divide",
+    "max": "np.maximum",
+    "min": "np.minimum",
+}
+
 
 class VectorizeError(LoweringError):
     """The lowered kernel contains a construct this backend cannot vectorize."""
@@ -103,50 +146,74 @@ class VectorizeError(LoweringError):
 
 def _gather_slices(buf: np.ndarray, row_offsets: np.ndarray,
                    shapes: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Stack the ragged slices at governing indices ``idx``.
+    """The ragged slices at governing indices ``idx`` as one
+    ``(len(idx), *shape)`` array.
 
-    All indexed slices must share one (storage-padded) shape -- guaranteed
-    by signature bucketing.  A single-instance bucket returns a zero-copy
-    view; larger buckets gather into a dense ``(len(idx), *shape)`` array.
+    All indexed slices share one (storage-padded) shape -- guaranteed by
+    signature bucketing.  A single-instance bucket returns a zero-copy
+    view of the slab; larger buckets gather into a new dense stack.
     """
-    shape = tuple(int(s) for s in shapes[idx[0]])
-    size = 1
-    for s in shape:
-        size *= s
+    first = idx[0]
+    shape = (idx.size, *shapes[first].tolist())
     if idx.size == 1:
-        start = int(row_offsets[idx[0]])
-        return buf[start:start + size].reshape((1,) + shape)
-    flat = buf[row_offsets[idx][:, None] + np.arange(size)[None, :]]
-    return flat.reshape((idx.size,) + shape)
+        return buf[row_offsets[first]:row_offsets[first + 1]].reshape(shape)
+    size = math.prod(shape[1:])
+    return buf[row_offsets[idx][:, None] + np.arange(size)].reshape(shape)
+
+
+def _out_slices(buf: np.ndarray, row_offsets: np.ndarray,
+                shapes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Where a bucket's output slices are computed: the slab itself (a
+    view, see :func:`_gather_slices`) for a single-instance bucket, else
+    an uninitialised stack that :func:`_scatter_slices` copies back."""
+    if idx.size == 1:
+        return _gather_slices(buf, row_offsets, shapes, idx)
+    return np.empty((idx.size, *shapes[idx[0]].tolist()), dtype=buf.dtype)
 
 
 def _scatter_slices(buf: np.ndarray, row_offsets: np.ndarray,
-                    shapes: np.ndarray, idx: np.ndarray,
-                    bounds: Tuple[int, ...], values: np.ndarray) -> None:
-    """Scatter ``values`` into the ``[:b1, :b2, ...]`` region of each slice.
+                    idx: np.ndarray, values: np.ndarray) -> None:
+    """Copy a multi-instance bucket's stack of whole (storage-padded)
+    slices back to governing indices ``idx`` -- the inverse of the
+    gathering :func:`_gather_slices`.  A single-instance bucket was
+    computed in the slab itself: nothing to copy."""
+    if idx.size > 1:
+        flat = values.reshape(idx.size, -1)
+        buf[row_offsets[idx][:, None] + np.arange(flat.shape[1])] = flat
 
-    The inverse of :func:`_gather_slices` restricted to the loop-bounded
-    region (the vectorized equivalent of a guard: elements past the bounds
-    are never touched).
-    """
-    shape = tuple(int(s) for s in shapes[idx[0]])
-    strides = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        strides[i] = strides[i + 1] * shape[i + 1]
+
+def _out_rows(nd: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """:func:`_out_slices` for a dense output ``nd[governing, ...]``."""
     if idx.size == 1:
-        start = int(row_offsets[idx[0]])
-        size = 1
-        for s in shape:
-            size *= s
-        view = buf[start:start + size].reshape(shape)
-        view[tuple(slice(0, int(b)) for b in bounds)] = values[0]
-        return
-    off = row_offsets[idx].reshape((idx.size,) + (1,) * len(bounds))
-    for axis, n in enumerate(bounds):
-        view = [1] * (len(bounds) + 1)
-        view[axis + 1] = int(n)
-        off = off + np.arange(int(n)).reshape(view) * strides[axis]
-    buf[off] = values
+        return nd[idx[0]:idx[0] + 1]
+    return np.empty((idx.size, *nd.shape[1:]), dtype=nd.dtype)
+
+
+def _scatter_rows(nd: np.ndarray, idx: np.ndarray,
+                  values: np.ndarray) -> None:
+    """:func:`_scatter_slices` for a dense output."""
+    if idx.size > 1:
+        nd[idx] = values
+
+
+def _workspace(ws: np.ndarray, offset: int, shape, count: int) -> np.ndarray:
+    """A ``(count, *shape)`` view of the fused-region workspace at
+    ``offset`` -- the stand-in for an internalised value's arena slab."""
+    shape = (count, *shape)
+    return ws[offset:offset + math.prod(shape)].reshape(shape)
+
+
+#: Names every generated vector kernel may reference (also what the AOT
+#: cache re-``exec``s persisted sources against).
+KERNEL_NAMESPACE: Dict[str, object] = {
+    "np": np,
+    "_gather_slices": _gather_slices,
+    "_out_slices": _out_slices,
+    "_scatter_slices": _scatter_slices,
+    "_out_rows": _out_rows,
+    "_scatter_rows": _scatter_rows,
+    "_workspace": _workspace,
+}
 
 
 def _flatten_product(expr: Expr):
@@ -194,15 +261,16 @@ class _VecBound:
 
 @dataclass
 class _AliasSource:
-    """A fused-region internal value held in a loop-local temporary.
+    """A fused-region internal value held in a workspace view.
 
-    ``var`` names the temporary: shape ``(_nb, *padded_extents)`` per
-    bucket, zero-filled with the loop-bounded region assigned in -- a
-    bit-exact stand-in for the scatter/gather round-trip through an
-    arena slab.  ``tables`` holds, per store axis, the producer's
-    storage-padded extents over every governing index; consumers check
-    both their own padding (must be equal) and their loop bounds (must
-    fit) against them at compile time.
+    ``var`` names the view: shape ``(_nb, *padded_extents)`` per bucket
+    -- exactly the array a slab view of the value would be, so NumPy
+    sees identical shapes and strides fused and unfused (matmul and the
+    pairwise reductions are layout-sensitive at the ULP level).
+    ``tables`` holds, per store axis, the producer's storage-padded
+    extents over every governing index; consumers check both their own
+    padding (must be equal) and their loop bounds (must fit) against
+    them at compile time.
     """
 
     var: str
@@ -211,15 +279,23 @@ class _AliasSource:
 
 @dataclass
 class _AliasOut:
-    """Where a member kernel's store goes inside a fused region.
-
-    ``var`` is the temporary receiving the (float32-cast) store values;
-    with ``external=True`` the store *also* scatters into the real
-    output buffer (the value has readers outside the region too).
-    """
+    """Where an internal member's store goes inside a fused region:
+    ``var`` becomes a view of the region workspace at element ``offset``,
+    or -- when ``reuse`` names the view of an input that dies at this
+    member and is only read elementwise -- that view itself, so the
+    member overwrites its input in place."""
 
     var: str
-    external: bool = False
+    offset: int = 0
+    reuse: Optional[str] = None
+
+
+def _emit_bucket_loop(em: _Emitter) -> None:
+    """Open the loop over instance buckets."""
+    em.emit("for _bs in _BUCKETS:")
+    em.push()
+    em.emit("_nb = _bs.size")
+    em.emit("_b0 = int(_bs[0])")
 
 
 class VectorCodeGenerator:
@@ -231,33 +307,42 @@ class VectorCodeGenerator:
     bucket loop -- the fused-region emission of
     :func:`generate_fused_kernel`.  ``value_of`` remaps tensor names to
     program value names for the ``buffers`` dict, ``aux_ns`` prefixes
-    the ``aux`` dict keys, ``alias`` redirects reads of internalised
-    values to their producer's temporary, and ``alias_out`` redirects
-    (or tees) the store into a temporary.
+    the ``aux`` dict keys, and ``alias`` redirects reads of internalised
+    values to their producer's workspace view;
+    :func:`generate_fused_kernel` then points the store of an internal
+    member at a workspace view too (``_alias_out``).
     """
 
     def __init__(self, kernel: LoweredKernel, prefix: str = "",
                  value_of: Optional[Dict[str, str]] = None,
                  aux_ns: str = "",
-                 alias: Optional[Dict[str, _AliasSource]] = None,
-                 alias_out: Optional[_AliasOut] = None):
+                 alias: Optional[Dict[str, _AliasSource]] = None):
         self.kernel = kernel
         self._prefix = prefix
         self._values = value_of or {}
         self._aux_ns = aux_ns
         self._alias = alias or {}
-        self._alias_out = alias_out
+        self._alias_out: Optional[_AliasOut] = None
         #: synthetic leading axis: the bucket axis (loop mode) or the fused
         #: iteration axis (fused mode)
         self._stack_dim = Dim("stack")
         self._analyze()
-        #: id(Reduce) -> code of its (out-context aligned) temporary
+        #: id(Reduce) -> code of its (out-context aligned) temporary, for
+        #: the reductions computed ahead of the body (see _plan_reduces)
         self._reduce_code: Dict[int, str] = {}
+        #: id(TensorAccess) -> its (code, dims), built once per emission
+        self._access_cache: Dict[int, Tuple[str, Tuple[Dim, ...]]] = {}
+        self._temp_count = 0
+        #: the store destination's variable and, per stored axis, whether
+        #: the loop bound reaches the storage extent (set by _open_store)
+        self._out_var = ""
+        self._store_full: List[bool] = []
         #: dims of the per-instance loop index arrays already emitted
         self._index_arrays: Dict[Dim, str] = {}
         self._gov_value_var: Optional[str] = None
         self._inner_value_var: Optional[str] = None
         self._buckets_cache: Optional[List[np.ndarray]] = None
+        self._accessed_cache: Optional[List[str]] = None
         self._fused_lengths_cache: Optional[np.ndarray] = None
 
     # -- analysis ------------------------------------------------------------
@@ -420,17 +505,14 @@ class VectorCodeGenerator:
 
     def generate(self) -> GeneratedKernel:
         source = self.generate_source()
-        namespace: Dict[str, object] = {
-            "np": np,
-            "_gather_slices": _gather_slices,
-            "_scatter_slices": _scatter_slices,
-        }
+        namespace = dict(KERNEL_NAMESPACE)
         if self.mode == "loop":
             namespace["_BUCKETS"] = self._buckets()
-        exec(compile(source, f"<cora-vec:{self.kernel.name}>", "exec"), namespace)
+        exec(compile_kernel_source(source, f"<cora-vec:{self.kernel.name}>"),
+             namespace)
         fn = namespace[self._fn_name()]
         return GeneratedKernel(name=self.kernel.name, source=source, fn=fn,
-                               backend="vector")
+                               backend="vector", fills_output=True)
 
     def _buckets(self) -> List[np.ndarray]:
         if self._buckets_cache is None:
@@ -453,6 +535,7 @@ class VectorCodeGenerator:
         return list(dict.fromkeys(names))
 
     @staticmethod
+    @lru_cache(maxsize=4096)
     def _sanitize(name: str) -> str:
         return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
@@ -494,13 +577,9 @@ class VectorCodeGenerator:
             if gov.remap_name is not None:
                 em.emit(f"# thread remap {gov.remap_name!r} is execution-order "
                         "only; bucketed stores are order-independent")
-            em.emit(f"# {len(self._buckets()) if self._have_aux() else '?'} "
-                    f"instance bucket(s) over {self.gov_count} governing "
-                    "indices")
-            em.emit("for _bs in _BUCKETS:")
-            em.push()
-            em.emit("_nb = _bs.size")
-            em.emit("_b0 = int(_bs[0])")
+            em.emit("# one iteration per bucket of governing indices with "
+                    "equal raggedness")
+            _emit_bucket_loop(em)
             self.emit_bucket_body(em, accessed)
             em.pop()
         em.pop()
@@ -510,11 +589,11 @@ class VectorCodeGenerator:
         """Emit the per-call setup: buffer views, aux views, dense reshapes.
 
         Aliased tensors (fused-region internals) have no buffer -- their
-        reads and stores go through loop-local temporaries instead.
+        reads and stores go through views of the region workspace instead.
         """
         kernel = self.kernel
         out_name = kernel.output_plan.spec.name
-        out_has_buffer = (self._alias_out is None or self._alias_out.external)
+        out_has_buffer = self._alias_out is None
         if out_has_buffer:
             em.emit(f"_buf_{self._safe(out_name)} = "
                     f"buffers[{self._value_name(out_name)!r}]")
@@ -539,6 +618,11 @@ class VectorCodeGenerator:
             shape = ", ".join(str(s) for s in kernel.output_plan.layout.dense_shape())
             em.emit(f"_nd_{self._safe(out_name)} = "
                     f"_buf_{self._safe(out_name)}.reshape({shape})")
+        if out_has_buffer and self.mode == "loop" and int(
+                kernel.output_plan.layout.governing_extent()) != self.gov_count:
+            # Storage rows no governing index reaches: not coverable by
+            # per-bucket stores, so the whole buffer is cleared up front.
+            em.emit(f"_buf_{self._safe(out_name)}.fill(0.0)")
 
     def emit_bucket_body(self, em: _Emitter, accessed: Sequence[str]) -> None:
         """Emit one loop-mode bucket iteration (bounds, gathers, body).
@@ -549,14 +633,6 @@ class VectorCodeGenerator:
         self._emit_bounds(em)
         self._emit_views(em, accessed)
         self._emit_body(em)
-
-    def _have_aux(self) -> bool:
-        try:
-            for name in self._signature_tables():
-                self.kernel.aux_arrays[name]
-            return True
-        except KeyError:
-            return False
 
     def _dense_needs_nd(self, name: str) -> bool:
         """Whether any fused-mode access to dense tensor ``name`` takes the
@@ -572,15 +648,18 @@ class VectorCodeGenerator:
         return False
 
     def _accessed_tensors(self) -> List[str]:
-        seen: List[str] = []
-        for expr in self._walk(self.kernel.body):
-            if isinstance(expr, TensorAccess) and expr.tensor.name not in seen:
-                if expr.tensor.name not in self.kernel.input_plans:
-                    raise VectorizeError(
-                        f"access to unknown tensor {expr.tensor.name!r}"
-                    )
-                seen.append(expr.tensor.name)
-        return seen
+        if self._accessed_cache is None:
+            seen: List[str] = []
+            for expr in self._walk(self.kernel.body):
+                if isinstance(expr, TensorAccess) \
+                        and expr.tensor.name not in seen:
+                    if expr.tensor.name not in self.kernel.input_plans:
+                        raise VectorizeError(
+                            f"access to unknown tensor {expr.tensor.name!r}"
+                        )
+                    seen.append(expr.tensor.name)
+            self._accessed_cache = seen
+        return self._accessed_cache
 
     @staticmethod
     def _walk(expr: Expr):
@@ -615,14 +694,14 @@ class VectorCodeGenerator:
                     names.extend([plan.row_name, plan.shape_name])
         out_plan = self.kernel.output_plan
         if out_plan.is_ragged:
-            if self._alias_out is None or self._alias_out.external:
+            if self._alias_out is None:
                 if self.mode == "fused":
                     names.extend([out_plan.row_name, out_plan.stride_name])
                 else:
                     names.extend([out_plan.row_name, out_plan.shape_name])
-            elif len(self.kernel.output_dims) > 1:
-                # Internal alias temporaries are padded to the storage
-                # extents, read from the shape table at runtime.
+            elif self._alias_out.reuse is None:
+                # Workspace views take the storage extents from the
+                # shape table at run time.
                 names.append(out_plan.shape_name)
         return list(dict.fromkeys(names))
 
@@ -647,7 +726,7 @@ class VectorCodeGenerator:
     def _emit_views(self, em: _Emitter, accessed: Sequence[str]) -> None:
         for name in accessed:
             if name in self._alias:
-                continue  # fed from the producing member's temporary
+                continue  # fed from the producing member's workspace view
             plan = self.kernel.input_plans[name]
             if plan.is_ragged:
                 safe = self._safe(name)
@@ -673,12 +752,21 @@ class VectorCodeGenerator:
 
     # -- body -----------------------------------------------------------------
 
+    def _store_dims(self) -> Tuple[Dim, ...]:
+        """The output's stored inner dims (after the governing / fused pair)."""
+        return tuple(self.kernel.output_dims[1 if self.mode == "loop" else 2:])
+
     def _ctx_out(self) -> Tuple[Dim, ...]:
-        return (self._stack_dim,) + self.inner_dims
+        """Axes of the store destination: the bucket / fused axis, then the
+        stored dims in *storage* order (loop order is irrelevant once the
+        nest is a set of broadcast axes), so values land untransposed."""
+        return (self._stack_dim,) + self._store_dims()
 
     def _emit_body(self, em: _Emitter) -> None:
         ctx_out = self._ctx_out()
         self._reduce_code = {}
+        self._access_cache = {}
+        self._temp_count = 0
         if self.mode == "loop":
             self._index_arrays = {}
         self._gov_value_var = None
@@ -704,42 +792,86 @@ class VectorCodeGenerator:
                 var = "_ix" + self._bound_var[dim][2:]
                 em.emit(f"{var} = np.arange({self._bound_var[dim]})")
                 self._index_arrays[dim] = var
-        for i, red in enumerate(self.reduces):
-            self._emit_reduce(em, red, self._local(f"_red{i}"), ctx_out)
-        value_code = self._expr_code(self.kernel.body, ctx_out)
-        self._emit_store(em, value_code)
+        dst = self._open_store(em)
+        for i, (red, rctx) in enumerate(self._plan_reduces(ctx_out)):
+            temp = self._local(f"_red{i}")
+            em.emit(f"{temp} = np.empty({self._shape_code(rctx)}, "
+                    "dtype=np.float32)")
+            self._emit_reduce_into(em, red, temp, rctx)
+            self._reduce_code[id(red)] = self._aligned_code(temp, rctx, ctx_out)
+        self._emit_into(em, self.kernel.body, dst, ctx_out)
+        self._close_store(em)
 
-    def _emit_reduce(self, em: _Emitter, red: Reduce, temp: str,
-                     ctx_out: Tuple[Dim, ...]) -> None:
+    # -- reductions -------------------------------------------------------------
+
+    def _reduce_ctx(self, red: Reduce,
+                    ctx_out: Tuple[Dim, ...]) -> Tuple[Dim, ...]:
+        """The ``ctx_out`` axes a reduction's result actually varies over."""
+        stacked = (self.gov_dim,) if self.mode == "loop" \
+            else (self.gov_dim, self.inner_fused_dim)
+        used = set()
+        for expr in self._walk_values(red.body):
+            if isinstance(expr, TensorAccess):
+                used.update(self._access_info(expr)[1])
+            elif isinstance(expr, LoopVar):
+                used.add(self._stack_dim if expr.dim in stacked else expr.dim)
+        return tuple(d for d in ctx_out if d in used)
+
+    def _plan_reduces(self, ctx_out: Tuple[Dim, ...],
+                      ) -> List[Tuple[Reduce, Tuple[Dim, ...]]]:
+        """The reductions (with their result axes) that must be computed
+        into their own temporary ahead of the body: those whose result
+        does not span every output axis (it is broadcast where used) or
+        that the body uses twice.  Every other reduction is computed
+        straight into its destination by :meth:`_emit_into` when the
+        body walk reaches it."""
+        uses = Counter(id(e) for e in self._walk_values(self.kernel.body)
+                       if isinstance(e, Reduce))
+        planned = []
+        for red in self.reduces:
+            rctx = self._reduce_ctx(red, ctx_out)
+            if uses[id(red)] != 1 or rctx != ctx_out:
+                planned.append((red, rctx))
+        return planned
+
+    def _emit_reduce_into(self, em: _Emitter, red: Reduce, dst: str,
+                          rctx: Tuple[Dim, ...]) -> None:
+        """Emit ``red`` (whose result spans the ``rctx`` axes) into ``dst``."""
         axes = tuple(a.dim for a in red.axes)
         for dim in axes:
             if dim not in self.kernel.reduction_bounds:
                 raise VectorizeError(
                     f"reduction axis {dim.name} has no materialised bound"
                 )
-        if self._try_emit_einsum(em, red, temp, ctx_out, axes):
-            return
-        ctx_red = ctx_out + axes
-        body_code = self._expr_code(red.body, ctx_red)
-        shape = self._shape_code(ctx_red)
-        axis_positions = tuple(range(len(ctx_out), len(ctx_red)))
-        axis_code = (str(axis_positions[0]) if len(axis_positions) == 1
-                     else repr(axis_positions))
-        # Match the scalar backend's accumulator semantics (including empty
-        # reductions): sum starts at ``init``, max at -inf, min at ``init``.
-        if red.combiner == "sum":
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".sum(axis={axis_code})")
-            if float(red.init) != 0.0:
-                em.emit(f"{temp} = {temp} + {self._float_code(red.init)}")
-        elif red.combiner == "max":
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".max(axis={axis_code}, initial=-np.inf)")
-        else:
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".min(axis={axis_code}, "
-                    f"initial={self._float_code(red.init)})")
-        self._reduce_code[id(red)] = temp
+        if not (red.combiner == "sum"
+                and self._try_emit_matmul(em, red, dst, rctx, axes)):
+            ctx_red = rctx + axes
+            src = None
+            if isinstance(red.body, TensorAccess):
+                code, dims = self._access_info(red.body)
+                if set(dims) == set(ctx_red):
+                    src = self._aligned_code(code, dims, ctx_red)
+            if src is None:
+                # Compound (or broadcast) body: materialise it once in a
+                # workspace of the full reduction domain.
+                src = self._new_temp(em, ctx_red)
+                self._emit_into(em, red.body, src, ctx_red)
+            positions = tuple(range(len(rctx), len(ctx_red)))
+            axis = (str(positions[0]) if len(positions) == 1
+                    else repr(positions))
+            # Match the scalar backend's accumulator semantics (including
+            # empty reductions): sum starts at ``init``, max at -inf, min
+            # at ``init``.
+            if red.combiner == "sum":
+                em.emit(f"{src}.sum(axis={axis}, out={dst})")
+            elif red.combiner == "max":
+                em.emit(f"{src}.max(axis={axis}, out={dst}, "
+                        "initial=-np.inf)")
+            else:
+                em.emit(f"{src}.min(axis={axis}, out={dst}, "
+                        f"initial={self._float_code(red.init)})")
+        if red.combiner == "sum" and float(red.init) != 0.0:
+            em.emit(f"np.add({dst}, {self._float_code(red.init)}, out={dst})")
 
     @staticmethod
     def _float_code(value: float) -> str:
@@ -748,87 +880,154 @@ class VectorCodeGenerator:
             return "-np.inf" if value < 0 else "np.inf"
         return repr(value)
 
-    def _try_emit_einsum(self, em: _Emitter, red: Reduce, temp: str,
-                         ctx_out: Tuple[Dim, ...], axes: Tuple[Dim, ...]) -> bool:
-        if red.combiner != "sum":
+    def _try_emit_matmul(self, em: _Emitter, red: Reduce, dst: str,
+                         rctx: Tuple[Dim, ...], axes: Tuple[Dim, ...]) -> bool:
+        """``sum_k a[.., i, k] * b[.., k, j]`` (times constants) as one
+        ``np.matmul`` straight into ``dst``.
+
+        Applies when the body is a product of exactly two accesses that
+        share the single reduction axis ``k``, and the two trailing
+        result axes are one free axis of each operand; every leading
+        result axis is a (broadcastable) batch axis.  Operand transposes
+        are views, so the layout is resolved here, not at run time.
+        """
+        if len(axes) != 1 or len(rctx) < 2:
             return False
         flattened = _flatten_product(red.body)
-        if flattened is None:
+        if flattened is None or len(flattened[1]) != 2:
             return False
         consts, accesses = flattened
-        if not accesses:
+        k = axes[0]
+        (code_a, dims_a), (code_b, dims_b) = (self._access_info(a)
+                                              for a in accesses)
+        if k not in dims_a or k not in dims_b:
             return False
-        infos = [self._access_info(a) for a in accesses]
-        operand_dims = [dims for _, dims in infos]
-        union: List[Dim] = []
-        for dims in operand_dims:
-            for d in dims:
-                if d not in union:
-                    union.append(d)
-        if any(axis not in union for axis in axes):
-            # A reduction axis the body never indexes multiplies the result
-            # by its trip count; the broadcast path handles that correctly.
+        row, col = rctx[-2], rctx[-1]
+        if row in dims_b and col in dims_a \
+                and row not in dims_a and col not in dims_b:
+            code_a, dims_a, code_b, dims_b = code_b, dims_b, code_a, dims_a
+        if not (row in dims_a and col in dims_b
+                and row not in dims_b and col not in dims_a):
             return False
-        letters: Dict[Dim, str] = {}
-        for d in list(ctx_out) + list(axes):
-            letters[d] = chr(ord("a") + len(letters))
-        for d in union:
-            if d not in letters:
-                raise VectorizeError(
-                    f"access dimension {d.name} is neither a loop nor a "
-                    "reduction dimension"
-                )
-        subs = ",".join("".join(letters[d] for d in dims)
-                        for dims in operand_dims)
-        out_dims = [d for d in ctx_out if d in union and d not in axes]
-        out_sub = "".join(letters[d] for d in out_dims)
-        operands = ", ".join(code for code, _ in infos)
-        scale = ""
+        batch = rctx[:-2]
+        lhs = self._aligned_code(code_a, dims_a, batch + (row, k))
+        rhs = self._aligned_code(code_b, dims_b, batch + (k, col))
+        em.emit(f"np.matmul({lhs}, {rhs}, out={dst})")
         factor = float(np.prod(consts)) if consts else 1.0
         if factor != 1.0:
-            scale = f" * {factor!r}"
-        em.emit(f"{temp} = np.einsum({subs + '->' + out_sub!r}, {operands}, "
-                f"optimize=True){scale}")
-        if float(red.init) != 0.0:
-            em.emit(f"{temp} = {temp} + {float(red.init)!r}")
-        self._reduce_code[id(red)] = self._aligned_code(temp, tuple(out_dims),
-                                                        ctx_out)
+            em.emit(f"np.multiply({dst}, {factor!r}, out={dst})")
         return True
+
+    # -- store-through expression emission ----------------------------------------
+
+    def _new_temp(self, em: _Emitter, ctx: Tuple[Dim, ...]) -> str:
+        temp = self._local(f"_tmp{self._temp_count}")
+        self._temp_count += 1
+        em.emit(f"{temp} = np.empty({self._shape_code(ctx)}, dtype=np.float32)")
+        return temp
+
+    def _is_atom(self, expr: Expr) -> bool:
+        """Whether ``expr`` is usable as a ufunc operand as-is: a constant,
+        an index array, a tensor view, or an already-computed reduction."""
+        return isinstance(expr, _LEAVES) or (
+            isinstance(expr, Reduce) and id(expr) in self._reduce_code)
+
+    def _emit_into(self, em: _Emitter, expr: Expr, dst: str,
+                   ctx: Tuple[Dim, ...]) -> None:
+        """Emit code computing ``expr`` over the ``ctx`` axes into ``dst``.
+
+        One ``ufunc(..., out=dst)`` per operator node, innermost first:
+        a compound operand is computed into ``dst`` itself and then
+        combined in place, so an expression tree needs no temporaries
+        unless both operands of a node are compound (the second then
+        gets its own).  The first instruction emitted is the deepest
+        leftmost node's -- :meth:`_first_operands` relies on this order.
+        """
+        if self._is_atom(expr):
+            em.emit(f"{dst}[...] = {self._expr_code(expr, ctx)}")
+        elif isinstance(expr, Reduce):
+            self._emit_reduce_into(em, expr, dst, ctx)
+        elif isinstance(expr, Call):
+            if len(expr.args) != 1:
+                raise VectorizeError(
+                    f"intrinsic {expr.fn!r} takes {len(expr.args)} arguments")
+            arg = self._operand(em, expr.args[0], dst, ctx)
+            if expr.fn == "relu":
+                em.emit(f"np.maximum({arg}, 0.0, out={dst})")
+            else:
+                fn = _NP_INTRINSICS.get(expr.fn)
+                if fn is None:
+                    raise VectorizeError(f"unknown intrinsic {expr.fn!r}")
+                em.emit(f"{fn}({arg}, out={dst})")
+        elif isinstance(expr, BinOp):
+            ufunc = _NP_BINOPS.get(expr.op)
+            if ufunc is None:
+                raise VectorizeError(f"unknown operator {expr.op!r}")
+            lhs_in_dst = not self._is_atom(expr.lhs)
+            lhs = self._operand(em, expr.lhs, dst, ctx)
+            if lhs_in_dst and not self._is_atom(expr.rhs):
+                rhs = self._new_temp(em, ctx)
+                self._emit_into(em, expr.rhs, rhs, ctx)
+            else:
+                rhs = self._operand(em, expr.rhs, dst, ctx)
+            em.emit(f"{ufunc}({lhs}, {rhs}, out={dst})")
+        else:
+            raise VectorizeError(f"cannot vectorize expression {expr!r}")
+
+    def _operand(self, em: _Emitter, expr: Expr, dst: str,
+                 ctx: Tuple[Dim, ...]) -> str:
+        """An operand's code: the atom itself, or ``dst`` after computing
+        the compound operand into it."""
+        if self._is_atom(expr):
+            return self._expr_code(expr, ctx)
+        self._emit_into(em, expr, dst, ctx)
+        return dst
+
+    def _first_operands(self, expr: Expr) -> List[Expr]:
+        """The atoms read by the first instruction :meth:`_emit_into`
+        emits for ``expr`` -- everything it reads before ``dst`` is first
+        written.  Reductions count as reading nothing *safely*: they
+        write ``dst`` while still reading their operands."""
+        if isinstance(expr, _LEAVES):
+            return [expr]
+        if isinstance(expr, Call) and len(expr.args) == 1:
+            return self._first_operands(expr.args[0])
+        if isinstance(expr, BinOp):
+            lhs_leaf = isinstance(expr.lhs, _LEAVES)
+            if lhs_leaf and isinstance(expr.rhs, _LEAVES):
+                return [expr.lhs, expr.rhs]
+            return self._first_operands(expr.rhs if lhs_leaf else expr.lhs)
+        return []
+
+    def inplace_safe(self, name: str) -> bool:
+        """Whether this kernel may store over its input tensor ``name``
+        (same storage shape) as it goes: the tensor is read exactly once,
+        elementwise at the store position, outside any reduction, and by
+        the very first instruction of the store-through chain."""
+        reads = [e for e in self._walk(self.kernel.body)
+                 if isinstance(e, TensorAccess) and e.tensor.name == name]
+        if len(reads) != 1:
+            return False
+        (read,) = reads
+        position = (self.gov_dim,) + self._store_dims()
+        if len(read.indices) != len(position) or not all(
+                isinstance(i, LoopVar) and i.dim is d
+                for i, d in zip(read.indices, position)):
+            return False
+        return any(e is read for e in self._first_operands(self.kernel.body))
 
     # -- expressions -----------------------------------------------------------
 
     def _expr_code(self, expr: Expr, ctx: Tuple[Dim, ...]) -> str:
+        """Code of an atom (see :meth:`_is_atom`), aligned to ``ctx``."""
         if isinstance(expr, Reduce):
-            code = self._reduce_code.get(id(expr))
-            if code is None:
-                raise VectorizeError("reduction used before it was emitted")
-            return code
+            return self._reduce_code[id(expr)]
         if isinstance(expr, Const):
             return repr(float(expr.value))
         if isinstance(expr, LoopVar):
             return self._loop_var_code(expr.dim, ctx)
-        if isinstance(expr, BinOp):
-            lhs = self._expr_code(expr.lhs, ctx)
-            rhs = self._expr_code(expr.rhs, ctx)
-            if expr.op == "max":
-                return f"np.maximum({lhs}, {rhs})"
-            if expr.op == "min":
-                return f"np.minimum({lhs}, {rhs})"
-            if expr.op not in ("+", "-", "*", "/"):
-                raise VectorizeError(f"unknown operator {expr.op!r}")
-            return f"({lhs} {expr.op} {rhs})"
-        if isinstance(expr, Call):
-            args = ", ".join(self._expr_code(a, ctx) for a in expr.args)
-            if expr.fn == "relu":
-                return f"np.maximum(0.0, {args})"
-            fn = _NP_INTRINSICS.get(expr.fn)
-            if fn is None:
-                raise VectorizeError(f"unknown intrinsic {expr.fn!r}")
-            return f"{fn}({args})"
-        if isinstance(expr, TensorAccess):
-            code, dims = self._access_info(expr)
-            return self._aligned_code(code, dims, ctx)
-        raise VectorizeError(f"cannot vectorize expression {expr!r}")
+        code, dims = self._access_info(expr)
+        return self._aligned_code(code, dims, ctx)
 
     def _loop_var_code(self, dim: Dim, ctx: Tuple[Dim, ...]) -> str:
         if dim is self.gov_dim:
@@ -860,14 +1059,19 @@ class VectorCodeGenerator:
         The returned dims follow the produced array's axis order; the stack
         sentinel marks the bucket / fused axis.
         """
-        plan = self.kernel.input_plans.get(access.tensor.name)
-        if plan is None:
-            raise VectorizeError(
-                f"access to unknown tensor {access.tensor.name!r}"
-            )
-        if self.mode == "fused":
-            return self._access_info_fused(access, plan)
-        return self._access_info_loop(access, plan)
+        info = self._access_cache.get(id(access))
+        if info is None:
+            plan = self.kernel.input_plans.get(access.tensor.name)
+            if plan is None:
+                raise VectorizeError(
+                    f"access to unknown tensor {access.tensor.name!r}"
+                )
+            if self.mode == "fused":
+                info = self._access_info_fused(access, plan)
+            else:
+                info = self._access_info_loop(access, plan)
+            self._access_cache[id(access)] = info
+        return info
 
     def _access_info_loop(self, access: TensorAccess,
                           plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
@@ -929,15 +1133,15 @@ class VectorCodeGenerator:
     def _access_info_alias(self, access: TensorAccess,
                            alias: _AliasSource) -> Tuple[str, Tuple[Dim, ...]]:
         """Read a fused-region internal value straight from its producer's
-        padded loop-local temporary (axes: stack, then the producer's
-        store axes at their storage-padded extents).
+        workspace view (axes: stack, then the producer's store axes at
+        their storage-padded extents).
 
-        The temporary reproduces buffer semantics bit-for-bit -- padded
-        contiguous layout with zeros in the slack, exactly like a
-        gathered arena slab -- so the consumer's own storage-padded
-        extents must match the producer's, and its loop bounds must stay
-        within them.  Any violation rejects the fused emission (the
-        grouped fallback reproduces buffer semantics exactly).
+        The view reproduces buffer semantics bit-for-bit -- padded
+        contiguous layout with zeros in the slack, exactly like an arena
+        slab -- so the consumer's own storage-padded extents must match
+        the producer's, and its loop bounds must stay within them.  Any
+        violation rejects the fused emission (the grouped fallback
+        reproduces buffer semantics exactly).
         """
         name = access.tensor.name
         plan = self.kernel.input_plans.get(name)
@@ -1045,18 +1249,17 @@ class VectorCodeGenerator:
 
     def store_bound_tables(self) -> Tuple[np.ndarray, ...]:
         """Per-store-axis *storage-padded* extents -- the shape of this
-        kernel's alias temporary, and what a consuming member checks its
+        kernel's workspace view, and what a consuming member checks its
         reads against (loop mode only).
 
-        These are the padded extents a gathered buffer view would have,
-        not the tighter loop bounds: the temporary mirrors the buffer
-        round-trip bit-for-bit (zeros in the slack, padded contiguous
-        layout), because NumPy reductions are layout-sensitive at the
-        ULP level.
+        These are the padded extents a slab view would have, not the
+        tighter loop bounds: the workspace mirrors the slab bit-for-bit
+        (zeros in the slack, padded contiguous layout), because matmul
+        and NumPy reductions are layout-sensitive at the ULP level.
         """
         if self.mode != "loop":
             raise VectorizeError(
-                "fused-mode members cannot feed an alias temporary")
+                "fused-mode members cannot feed a workspace view")
         out_plan = self.kernel.output_plan
         store_rank = len(self.kernel.output_dims) - 1
         if out_plan.is_ragged:
@@ -1065,7 +1268,7 @@ class VectorCodeGenerator:
             except KeyError:
                 raise VectorizeError(
                     f"output {out_plan.spec.name!r} has no shape table for "
-                    "its alias temporary")
+                    "its workspace view")
             if shapes.ndim != 2 or shapes.shape[1] != store_rank:
                 raise VectorizeError(
                     f"output {out_plan.spec.name!r} shape table rank "
@@ -1110,7 +1313,7 @@ class VectorCodeGenerator:
         return self._fused_gather_code(access, plan)
 
     def _check_fused_col_fits(self, plan: TensorPlan, col: int,
-                              needed: np.ndarray) -> None:
+                              needed: np.ndarray) -> bool:
         if plan.is_ragged:
             available = np.asarray(
                 self.kernel.aux_arrays[plan.shape_name][:, col],
@@ -1118,7 +1321,7 @@ class VectorCodeGenerator:
         else:
             available = np.asarray([plan.layout.dense_shape()[col]],
                                    dtype=np.int64)
-        self._compare_fit(needed, available, plan, col)
+        return self._compare_fit(needed, available, plan, col)
 
     def _fused_gather_code(self, access: TensorAccess,
                            plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
@@ -1216,11 +1419,13 @@ class VectorCodeGenerator:
 
     # -- index-fit validation -----------------------------------------------------
 
-    def _check_index_fits(self, plan: TensorPlan, col: int, idx: Expr) -> None:
+    def _check_index_fits(self, plan: TensorPlan, col: int, idx: Expr) -> bool:
         """Reject (-> scalar fallback) accesses whose loop bound can exceed
         the instance's storage extent -- slicing / gathering would silently
         truncate where the scalar backend's flat-offset arithmetic does not.
-        Happens when a loop is padded without matching storage padding."""
+        Happens when a loop is padded without matching storage padding.
+        Returns whether the bound *equals* the extent at every governing
+        index (the index sweeps the whole storage axis)."""
         if isinstance(idx, Const):
             needed = np.asarray([int(idx.value) + 1], dtype=np.int64)
         elif isinstance(idx, LoopVar) and idx.dim is not self.gov_dim:
@@ -1229,7 +1434,7 @@ class VectorCodeGenerator:
             else:
                 needed = self._vb_of(idx.dim).values(self.kernel)
         else:
-            return
+            return False
         if plan.is_ragged:
             available = np.asarray(
                 self.kernel.aux_arrays[plan.shape_name][:, col],
@@ -1237,22 +1442,24 @@ class VectorCodeGenerator:
         else:
             available = np.asarray([plan.layout.dense_shape()[col]],
                                    dtype=np.int64)
-        self._compare_fit(needed, available, plan, col)
+        return self._compare_fit(needed, available, plan, col)
 
     @staticmethod
     def _compare_fit(needed: np.ndarray, available: np.ndarray,
-                     plan: TensorPlan, col: int) -> None:
-        if needed.size != available.size and 1 in (needed.size, available.size):
-            exceeded = bool(np.any(needed > available))
-        else:
+                     plan: TensorPlan, col: int) -> bool:
+        comparable = needed.size == available.size \
+            or 1 in (needed.size, available.size)
+        if not comparable:
             n = min(needed.size, available.size) or 1
-            exceeded = bool(np.any(needed[:n] > available[:n]))
-        if exceeded:
+            needed, available = needed[:n], available[:n]
+        slack = available - needed
+        if slack.size and slack.min() < 0:
             raise VectorizeError(
                 f"loop bound exceeds the storage extent of "
                 f"{plan.spec.name!r} axis {col} (loop padding without "
                 "matching storage padding)"
             )
+        return comparable and not slack.any()
 
     # -- alignment --------------------------------------------------------------
 
@@ -1283,91 +1490,101 @@ class VectorCodeGenerator:
 
     # -- store -------------------------------------------------------------------
 
-    def _emit_store(self, em: _Emitter, value_code: str) -> None:
-        if self.mode == "fused":
-            self._emit_store_fused(em, value_code)
-            return
+    def _open_store(self, em: _Emitter) -> str:
+        """Emit the acquisition of the store destination and return its
+        code: an array over the :meth:`_ctx_out` axes that the body is
+        computed straight into.
+
+        Loop mode: ``_o`` is the bucket's full (storage-padded) output --
+        a view of the slab for a single-instance bucket, a view of the
+        region workspace for a fused-internal value, else a stack that
+        :meth:`_close_store` scatters back -- and the destination is its
+        loop-bounded region.  Flat-fused mode stores through a scatter,
+        so the destination is a dense temporary.
+        """
         kernel = self.kernel
         out_plan = kernel.output_plan
         safe = self._safe(out_plan.spec.name)
-        store_dims = kernel.output_dims[1:]
-        ctx_out = self._ctx_out()
-        for col, dim in enumerate(store_dims):
-            # Ragged shape columns exclude the governing axis; a dense
-            # output's shape includes it at position 0.
-            axis = col if out_plan.is_ragged else col + 1
-            self._check_index_fits(out_plan, axis, LoopVar(dim))
-        temp = self._alias_out.var if self._alias_out is not None else None
-        if not store_dims:
-            if temp is not None:
-                # Materialized contiguous float32, matching the buffer
-                # assignment downstream consumers would otherwise read back.
-                em.emit(f"{temp} = np.zeros((_nb,), dtype=np.float32)")
-                em.emit(f"{temp}[:] = {value_code}")
-                if self._alias_out.external:
-                    em.emit(f"_nd_{safe}[_bs] = {temp}")
-            else:
-                em.emit(f"_nd_{safe}[_bs] = {value_code}")
+        store_dims = self._store_dims()
+        if self.mode == "fused":
+            self._out_var = self._local("_val")
+            em.emit(f"{self._out_var} = np.empty("
+                    f"{self._shape_code(self._ctx_out())}, dtype=np.float32)")
+            return self._out_var
+        # Ragged shape columns exclude the governing axis; a dense
+        # output's shape includes it at position 0.
+        base = 0 if out_plan.is_ragged else 1
+        self._store_full = [
+            self._check_index_fits(out_plan, base + col, LoopVar(dim))
+            for col, dim in enumerate(store_dims)]
+        alias = self._alias_out
+        out = self._out_var = alias.var if alias is not None \
+            else self._local("_o")
+        if out_plan.is_ragged:
+            shapes = f"_aux_{self._safe(out_plan.shape_name)}"
+            shape = f"{shapes}[_b0].tolist()"
+        else:
+            dense = out_plan.layout.dense_shape()[1:]
+            shape = "(" + "".join(f"{int(n)}, " for n in dense) + ")"
+        if alias is not None and alias.reuse is not None:
+            em.emit(f"{out} = {alias.reuse}")
+        elif alias is not None:
+            em.emit(f"{out} = _workspace(_ws, {alias.offset}, {shape}, _nb)")
+        elif out_plan.is_ragged:
+            em.emit(f"{out} = _out_slices(_buf_{safe}, "
+                    f"_aux_{self._safe(out_plan.row_name)}, {shapes}, _bs)")
+        else:
+            em.emit(f"{out} = _out_rows(_nd_{safe}, _bs)")
+        if all(self._store_full):
+            return out
+        dst = self._local("_d")
+        region = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
+        em.emit(f"{dst} = {out}[:, {region}]")
+        return dst
+
+    def _close_store(self, em: _Emitter) -> None:
+        """Finish the store: clear the storage padding the loop bounds do
+        not reach (so the output buffer is fully written, whatever it
+        held), then write a gathered bucket's stack back."""
+        if self.mode == "fused":
+            self._emit_store_fused(em, self._out_var)
             return
-        val_var = self._local("_val")
-        em.emit(f"{val_var} = np.broadcast_to({value_code}, "
-                f"{self._shape_code(ctx_out)})")
-        perm = [0] + [1 + self.inner_dims.index(d) for d in store_dims]
-        val = val_var
-        if perm != sorted(perm):
-            val = f"{val_var}.transpose({', '.join(map(str, perm))})"
-        if temp is not None:
-            # The temporary replays the scatter/gather round-trip exactly:
-            # zero-filled, padded to the storage extents, loop-bounded
-            # region assigned in.  Tight-extent temps would feed NumPy's
-            # layout-sensitive reductions differently (ULP divergence).
-            if out_plan.is_ragged:
-                em.emit(f"{temp} = np.zeros((_nb,) + tuple(int(_s) for _s "
-                        f"in _aux_{self._safe(out_plan.shape_name)}[_b0]), "
-                        f"dtype=np.float32)")
-            else:
-                pad = ", ".join(
-                    str(int(s))
-                    for s in out_plan.layout.dense_shape()[1:])
-                em.emit(f"{temp} = np.zeros((_nb, {pad}), dtype=np.float32)")
-            region = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
-            em.emit(f"{temp}[:, {region}] = {val}")
-            if not self._alias_out.external:
-                return
-            val = f"{temp}[:, {region}]"
-        bounds = ", ".join(self._bound_var[d] for d in store_dims)
+        out_plan = self.kernel.output_plan
+        safe = self._safe(out_plan.spec.name)
+        store_dims = self._store_dims()
+        out = self._out_var
+        for col, dim in enumerate(store_dims):
+            if not self._store_full[col]:
+                strip = [f":{self._bound_var[d]}" for d in store_dims[:col]]
+                strip.append(f"{self._bound_var[dim]}:")
+                em.emit(f"{out}[:, {', '.join(strip)}] = 0.0")
+        if self._alias_out is not None:
+            return
         if out_plan.is_ragged:
             em.emit(f"_scatter_slices(_buf_{safe}, "
-                    f"_aux_{self._safe(out_plan.row_name)}, "
-                    f"_aux_{self._safe(out_plan.shape_name)}, _bs, "
-                    f"({bounds},), {val})")
+                    f"_aux_{self._safe(out_plan.row_name)}, _bs, {out})")
         else:
-            subs = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
-            em.emit(f"_nd_{safe}[_bs, {subs}] = {val}")
+            em.emit(f"_scatter_rows(_nd_{safe}, _bs, {out})")
 
-    def _emit_store_fused(self, em: _Emitter, value_code: str) -> None:
+    def _emit_store_fused(self, em: _Emitter, val: str) -> None:
         kernel = self.kernel
         out_plan = kernel.output_plan
         safe = self._safe(out_plan.spec.name)
-        rest_dims = kernel.output_dims[2:]
-        ctx_out = self._ctx_out()
-        em.emit(f"_val = np.broadcast_to({value_code}, "
-                f"{self._shape_code(ctx_out)})")
-        perm = [0] + [1 + self.inner_dims.index(d) for d in rest_dims]
-        val = "_val"
-        if perm != sorted(perm):
-            val = f"_val.transpose({', '.join(map(str, perm))})"
+        rest_dims = self._store_dims()
         if kernel.output_dims_fused:
             # Flat storage: axis 0 is the fused index itself (extent checked
             # against the loop's fused extent during analysis).
-            for col, dim in enumerate(rest_dims):
-                self._check_index_fits(out_plan, col + 1, LoopVar(dim))
+            full = [self._check_index_fits(out_plan, col + 1, LoopVar(dim))
+                    for col, dim in enumerate(rest_dims)]
+            if not all(full):
+                em.emit(f"_buf_{safe}.fill(0.0)")
             subs = ", ".join([":"] + [f":{self._bound_var[d]}"
                                       for d in rest_dims])
             em.emit(f"_nd_{safe}[{subs}] = {val}")
             return
         if out_plan.is_ragged:
-            self._check_fused_col_fits(out_plan, 0, self._fused_lengths())
+            full = [self._check_fused_col_fits(out_plan, 0,
+                                               self._fused_lengths())]
             octx = (self._stack_dim,) + tuple(rest_dims)
             parts = [self._aligned_code(
                 f"_aux_{self._safe(out_plan.row_name)}[_ffo]",
@@ -1376,23 +1593,28 @@ class VectorCodeGenerator:
                 f"(_ffi * _aux_{self._safe(out_plan.stride_name)}[_ffo, 0])",
                 (self._stack_dim,), octx))
             for col, dim in enumerate(rest_dims):
-                self._check_index_fits(out_plan, col + 1, LoopVar(dim))
+                full.append(
+                    self._check_index_fits(out_plan, col + 1, LoopVar(dim)))
                 stride = self._aligned_code(
                     f"_aux_{self._safe(out_plan.stride_name)}"
                     f"[_ffo, {col + 1}]", (self._stack_dim,), octx)
                 var = self._aligned_code(self._index_arrays[dim], (dim,), octx)
                 parts.append(f"({stride} * {var})")
+            if not all(full):
+                em.emit(f"_buf_{safe}.fill(0.0)")
             em.emit(f"_buf_{safe}[{' + '.join(parts)}] = {val}")
             return
         # Dense, unfused storage: two adjacent advanced indices land the
         # fused axis at position 0, matching the value's axis order.
         m = int(self._fused_lengths().size)
-        self._compare_fit(np.asarray([m], dtype=np.int64),
-                          np.asarray([out_plan.layout.dense_shape()[0]],
-                                     dtype=np.int64), out_plan, 0)
-        self._check_fused_col_fits(out_plan, 1, self._fused_lengths())
+        full = [self._compare_fit(np.asarray([m], dtype=np.int64),
+                                  np.asarray([out_plan.layout.dense_shape()[0]],
+                                             dtype=np.int64), out_plan, 0),
+                self._check_fused_col_fits(out_plan, 1, self._fused_lengths())]
         for col, dim in enumerate(rest_dims):
-            self._check_index_fits(out_plan, col + 2, LoopVar(dim))
+            full.append(self._check_index_fits(out_plan, col + 2, LoopVar(dim)))
+        if not all(full):
+            em.emit(f"_buf_{safe}.fill(0.0)")
         subs = ", ".join(["_ffo", "_ffi"] + [f":{self._bound_var[d]}"
                                              for d in rest_dims])
         em.emit(f"_nd_{safe}[{subs}] = {val}")
@@ -1478,10 +1700,13 @@ def generate_fused_kernel(name: str,
     Every member's body is namespaced (prefix ``m{i}``) and composed
     inside a *single* shared bucket loop, so the chain pays one Python
     dispatch and one signature-bucketing pass instead of one per member.
-    Internal values flow producer -> consumer through loop-local
-    temporaries (their gathers and scatters disappear along with their
-    arena slabs); values with external readers are still scattered to
-    their buffers and re-gathered by in-region consumers, preserving
+    Internal values flow producer -> consumer through views of one
+    caller-provided workspace (``buffers["ws"]``, sized for the largest
+    bucket -- their arena slabs disappear); a member whose input dies
+    with it and is only read elementwise stores over that input in
+    place, so e.g. a softmax chain runs in a single score-sized view per
+    bucket.  Values with external readers are still stored to their
+    buffers and re-read from them by in-region consumers, preserving
     buffer semantics exactly.
 
     Legality (anything else raises :class:`VectorizeError` and the
@@ -1492,8 +1717,13 @@ def generate_fused_kernel(name: str,
     """
     if not members:
         raise VectorizeError("fused region has no members")
+    last_reader = {value: i for i, m in enumerate(members)
+                   for value in m.bindings.values()}
     gens: List[VectorCodeGenerator] = []
     alias_reg: Dict[str, _AliasSource] = {}
+    #: (generator, per-governing-index slice size) of every internal
+    #: value that needs a workspace region of its own
+    regions: List[Tuple[VectorCodeGenerator, np.ndarray]] = []
     for i, m in enumerate(members):
         alias = {}
         for tensor, value in m.bindings.items():
@@ -1507,15 +1737,30 @@ def generate_fused_kernel(name: str,
             value_of={**m.bindings, out_tensor: m.out_value},
             aux_ns=f"m{i}/",
             alias=alias,
-            alias_out=_AliasOut(var=f"_t{i}") if m.internal else None,
         )
         if gen.mode != "loop":
             raise VectorizeError(
                 f"member {m.kernel.name!r} uses a fused governing loop")
         gens.append(gen)
-        if m.internal:
-            alias_reg[m.out_value] = _AliasSource(
-                var=f"_t{i}", tables=gen.store_bound_tables())
+        if not m.internal:
+            continue
+        tables = gen.store_bound_tables()
+        bound = list(m.bindings.values())
+        reuse = next(
+            (src.var for tensor, src in alias.items()
+             if last_reader[m.bindings[tensor]] == i
+             and bound.count(m.bindings[tensor]) == 1
+             and len(src.tables) == len(tables)
+             and all(np.array_equal(a, b)
+                     for a, b in zip(src.tables, tables))
+             and gen.inplace_safe(tensor)), None)
+        gen._alias_out = _AliasOut(var=f"_t{i}", reuse=reuse)
+        if reuse is None:
+            size = np.ones(1, dtype=np.int64)
+            for table in tables:
+                size = size * table
+            regions.append((gen, size))
+        alias_reg[m.out_value] = _AliasSource(var=f"_t{i}", tables=tables)
     gov_count = gens[0].gov_count
     for gen in gens[1:]:
         if gen.gov_count != gov_count:
@@ -1530,6 +1775,15 @@ def generate_fused_kernel(name: str,
     buckets = bucket_by_signature(gov_count, arrays)
     for gen in gens:
         gen._buckets_cache = buckets
+    # Workspace layout: one region per (non-reusing) internal value,
+    # each sized for the bucket that needs the most of it.
+    firsts = np.asarray([int(b[0]) for b in buckets], dtype=np.int64)
+    counts = np.asarray([b.size for b in buckets], dtype=np.int64)
+    workspace = 0
+    for gen, size in regions:
+        gen._alias_out.offset = workspace
+        per_bucket = counts * (size[firsts] if size.size > 1 else size)
+        workspace += int(per_bucket.max()) if per_bucket.size else 0
 
     em = _Emitter()
     fn_name = f"cora_vfused_{VectorCodeGenerator._sanitize(name)}"
@@ -1540,31 +1794,19 @@ def generate_fused_kernel(name: str,
     accessed = [gen._accessed_tensors() for gen in gens]
     for gen, acc in zip(gens, accessed):
         gen.emit_prolog(em, acc)
-    # One zero-fill per external output replaces the per-step prezero of
-    # the unfused dispatch loop (internal values never need one: alias
-    # reads are bound-checked against the producer's store region).
-    for m, gen in zip(members, gens):
-        if not m.internal:
-            em.emit(f"_buf_{gen._safe(m.kernel.output_plan.spec.name)}"
-                    ".fill(0.0)")
-    em.emit(f"# {len(buckets)} shared instance bucket(s) over "
-            f"{gov_count} governing indices")
-    em.emit("for _bs in _BUCKETS:")
-    em.push()
-    em.emit("_nb = _bs.size")
-    em.emit("_b0 = int(_bs[0])")
+    if workspace:
+        em.emit("_ws = buffers['ws']")
+    em.emit("# one iteration per bucket shared by all members")
+    _emit_bucket_loop(em)
     for gen, acc in zip(gens, accessed):
         em.emit(f"# member {gen.kernel.name!r}")
         gen.emit_bucket_body(em, acc)
     em.pop()
     em.pop()
     source = em.source()
-    namespace: Dict[str, object] = {
-        "np": np,
-        "_gather_slices": _gather_slices,
-        "_scatter_slices": _scatter_slices,
-        "_BUCKETS": buckets,
-    }
-    exec(compile(source, f"<cora-vfused:{name}>", "exec"), namespace)
+    namespace = dict(KERNEL_NAMESPACE)
+    namespace["_BUCKETS"] = buckets
+    exec(compile_kernel_source(source, f"<cora-vfused:{name}>"), namespace)
     return GeneratedKernel(name=name, source=source,
-                           fn=namespace[fn_name], backend="vector")
+                           fn=namespace[fn_name], backend="vector",
+                           fills_output=True, workspace_elements=workspace)

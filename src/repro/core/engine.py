@@ -54,15 +54,18 @@ HOST_STEP = 1
 def dispatch_step(step: Tuple) -> None:
     """Execute one pre-resolved dispatch step.
 
-    A kernel step zero-fills its output buffer (reproducing the fresh
-    ``RaggedTensor.zeros`` semantics of op-by-op execution) and calls the
-    generated kernel over its pre-bound buffers; a host step optionally
+    A kernel step calls the generated kernel over its pre-bound buffers,
+    first zero-filling the output buffer (reproducing the fresh
+    ``RaggedTensor.zeros`` semantics of op-by-op execution) unless the
+    kernel writes every element itself (``out_flat`` is then ``None``,
+    see ``GeneratedKernel.fills_output``); a host step optionally
     pre-zeroes outputs the host function does not promise to fill, then
     calls it over the materialised value wrappers.
     """
     kind, fn, args, aux, out_flat = step
     if kind == KERNEL_STEP:
-        out_flat.fill(0.0)
+        if out_flat is not None:
+            out_flat.fill(0.0)
         fn(args, aux)
     else:
         if aux is not None:  # host outputs needing pre-zeroing

@@ -114,11 +114,11 @@ class _GroupedFusedKernel:
     """Bit-identical fallback execution of a fused kernel region.
 
     Runs each member's individually compiled kernel in order inside one
-    dispatch.  Internal values flow through fresh zero-initialised
-    temporaries (allocated per call: fused kernels are cached and may be
-    shared across threads), reproducing the pre-zeroed arena-slab
-    semantics of the unfused plan exactly; external outputs are
-    zero-filled and written in their buffers as usual.
+    dispatch.  Internal values flow through fresh temporaries (allocated
+    per call: fused kernels are cached and may be shared across
+    threads); like external outputs they are zero-filled first unless
+    the member writes every element itself, reproducing the arena-slab
+    semantics of the unfused plan exactly.
     """
 
     def __init__(self, plans, members: List["CompiledKernel"]):
@@ -144,10 +144,10 @@ class _GroupedFusedKernel:
                 buf = temps.get(value)
                 local[tensor] = buffers[value] if buf is None else buf
             if internal:
-                out = np.zeros(size, dtype=np.float32)
-                temps[out_value] = out
+                out = temps[out_value] = np.empty(size, dtype=np.float32)
             else:
                 out = buffers[out_value]
+            if not generated.fills_output:
                 out.fill(0.0)
             local[out_tensor] = out
             generated(local, aux_arrays)
@@ -162,7 +162,9 @@ class CompiledFusedKernel:
     the members back-to-back (``fused=False``, with the
     :class:`~repro.core.codegen_vector.VectorizeError` reason).  Either
     way the callable takes ``(buffers, aux)`` with buffers keyed by
-    *program value* names and zero-fills its own external outputs.
+    canonical value keys (plus ``"ws"``, the emitted kernel's private
+    workspace of ``generated.workspace_elements`` floats) and writes
+    every element of its external outputs.
     """
 
     node: object

@@ -9,8 +9,9 @@ planning and allocation -- is hoisted out of the per-batch path:
 * :meth:`Session.compile` lowers every kernel node of a
   :class:`~repro.core.program.Program` through the executor's codegen
   backend (LRU-cached per program), plans the intermediate buffers with
-  the :mod:`~repro.core.planner` liveness/arena pass, and allocates the
-  arena slabs once;
+  the :mod:`~repro.core.planner` liveness/arena pass, and binds them to
+  the session's arena (one set of slabs shared by every cached program:
+  no intermediate outlives a run);
 * :meth:`Session.run` then executes repeated mini-batches with a single
   flat dispatch loop over prebuilt buffer tables -- no per-op output
   allocation, no per-op schedule lookups, no per-op report objects.
@@ -24,6 +25,8 @@ deterministically, which tests and long-running processes rely on.
 
 from __future__ import annotations
 
+import contextlib
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -86,8 +89,10 @@ class CompiledProgram:
     def __init__(self, program: Program, executor: Executor,
                  inplace: bool = False,
                  fuse: bool = False,
-                 slab_buffers: Optional[Sequence[np.ndarray]] = None,
-                 input_buffers: Optional[Dict[str, np.ndarray]] = None):
+                 slab_buffers: Union[Sequence[np.ndarray], Callable[
+                     [Sequence[int]], Sequence[np.ndarray]], None] = None,
+                 input_buffers: Optional[Dict[str, np.ndarray]] = None,
+                 run_lock: Optional[Any] = None):
         program.validate()
         self.program = program
         self.executor = executor
@@ -152,7 +157,13 @@ class CompiledProgram:
         #    buffers once; every later run reuses them.  ``slab_buffers``
         #    / ``input_buffers`` optionally supply caller-owned flat
         #    arrays instead (the process-pool engine backs them with
-        #    shared memory so workers dispatch into the parent's arena).
+        #    shared memory so workers dispatch into the parent's arena;
+        #    a session passes a callable handing out its one shared
+        #    arena, with ``run_lock`` serialising the runs that use it).
+        self._run_lock = run_lock if run_lock is not None \
+            else contextlib.nullcontext()
+        if callable(slab_buffers):
+            slab_buffers = slab_buffers(self.plan.slab_elements)
         if slab_buffers is None:
             self._slabs: List[np.ndarray] = [
                 np.zeros(n, dtype=np.float32)
@@ -222,8 +233,10 @@ class CompiledProgram:
                            for tname, vname in node.bindings.items()}
                 out_flat = flat[node.outputs[0]]
                 buffers[compiled.lowered.output_plan.spec.name] = out_flat
-                self._steps.append((_KERNEL_STEP, compiled.generated, buffers,
-                                    compiled.lowered.aux_arrays, out_flat))
+                self._steps.append((
+                    _KERNEL_STEP, compiled.generated, buffers,
+                    compiled.lowered.aux_arrays,
+                    None if compiled.generated.fills_output else out_flat))
             elif isinstance(node, FusedKernelNode):
                 # The emitted fused kernel addresses buffers by canonical
                 # value key (``i0``/``o0``/...), never by program value
@@ -233,10 +246,16 @@ class CompiledProgram:
                 keys = Executor._fused_value_keys(node)
                 buffers = {keys[v]: flat[v]
                            for v in (*node.inputs, *node.outputs)}
-                out_flat = flat[node.outputs[0]]
+                scratch = fused_compiled.generated.workspace_elements
+                if scratch:
+                    # Step-private, like a fused host region's buffers:
+                    # the compiled region is shared by every structurally
+                    # equal call site, its workspace must not be.
+                    buffers["ws"] = np.empty(scratch, dtype=np.float32)
+                # Fused regions fill (or zero-fill) their own outputs.
                 self._steps.append((_KERNEL_STEP, fused_compiled.generated,
                                     buffers, fused_compiled.aux_arrays,
-                                    out_flat))
+                                    None))
             elif isinstance(node, FusedHostNode):
                 self._steps.append(
                     (_HOST_STEP, self._fused_host_closure(node, flat, wrapped),
@@ -350,11 +369,14 @@ class CompiledProgram:
         """Execute the program once over bound inputs.
 
         Input arrays are copied into the session's persistent staging
-        buffers (so the precompiled dispatch tables stay valid); kernel
-        outputs are zero-filled before dispatch, reproducing the fresh
+        buffers (so the precompiled dispatch tables stay valid); every
+        kernel output buffer is fully written on each run -- by the
+        kernel itself, or zero-filled before dispatch when the kernel
+        does not promise to -- reproducing the fresh
         ``RaggedTensor.zeros`` semantics of op-by-op execution bit for
         bit.  Outputs are returned as copies unless ``copy_outputs`` is
-        false (views into the arena, only valid until the next run).
+        false (views into the arena, only valid until the next run --
+        of *any* program of the owning session, which shares one arena).
 
         ``engine`` selects the execution strategy over the pre-resolved
         steps (defaults to a process-wide :class:`SerialEngine` -- the
@@ -362,26 +384,28 @@ class CompiledProgram:
         dependence edges produces bit-identical outputs.
         """
         t0 = time.perf_counter()
-        for name, stage, dtype in self._input_specs:
-            try:
-                value = inputs[name]
-            except KeyError:
-                raise ProgramError(f"missing program input {name!r}") from None
-            src = value.data if isinstance(value, RaggedTensor) else \
-                np.asarray(value, dtype=dtype).reshape(-1)
-            if src.size != stage.size:
-                raise ProgramError(
-                    f"input {name!r} has {src.size} elements but the program "
-                    f"expects {stage.size}")
-            np.copyto(stage, src)
+        with self._run_lock:
+            for name, stage, dtype in self._input_specs:
+                try:
+                    value = inputs[name]
+                except KeyError:
+                    raise ProgramError(
+                        f"missing program input {name!r}") from None
+                src = value.data if isinstance(value, RaggedTensor) else \
+                    np.asarray(value, dtype=dtype).reshape(-1)
+                if src.size != stage.size:
+                    raise ProgramError(
+                        f"input {name!r} has {src.size} elements but the "
+                        f"program expects {stage.size}")
+                np.copyto(stage, src)
 
-        (engine or _FALLBACK_ENGINE).execute(self._steps, self.plan,
-                                             context=self)
+            (engine or _FALLBACK_ENGINE).execute(self._steps, self.plan,
+                                                 context=self)
 
-        result: Dict[str, Any] = {}
-        for name in self.program.outputs:
-            value = self._wrapped[name]
-            result[name] = value.copy() if copy_outputs else value
+            result: Dict[str, Any] = {}
+            for name in self.program.outputs:
+                value = self._wrapped[name]
+                result[name] = value.copy() if copy_outputs else value
         if fault_injector is not None:
             # Named injection point "run": fired on the packed outputs so
             # "corrupt" faults truncate the result rows (a realistic
@@ -600,6 +624,11 @@ class Session:
         #: compiled programs, keyed by program uid (the program object is
         #: pinned alongside so the uid stays unique for the entry's life).
         self._programs: LRUDict = LRUDict(program_capacity)
+        #: the arena every compiled program of this session runs in: no
+        #: intermediate outlives a run, so cached programs need not each
+        #: hold slabs of their own.  Runs are serialised on the lock.
+        self._arena: List[np.ndarray] = []
+        self._arena_lock = threading.Lock()
         #: generic builder memo used by the model layer (encoder programs).
         self._memo: LRUDict = LRUDict(256)
         #: prelude state previously held in module-level globals.
@@ -688,7 +717,9 @@ class Session:
         lowers_before = self.executor.lower_count
         disk_before = self.executor.disk_hits
         compiled = CompiledProgram(program, self.executor,
-                                   inplace=self.inplace, fuse=fuse)
+                                   inplace=self.inplace, fuse=fuse,
+                                   slab_buffers=self._arena_slabs,
+                                   run_lock=self._arena_lock)
         if self.schedule_db is not None:
             # Engines that ship programs to worker processes forward this
             # so workers activate the same tuned-schedule policy before
@@ -705,6 +736,30 @@ class Session:
             self._note_signature(signature, hit=aot_warm)
         self._programs.put(program.uid, (compiled, program))
         return compiled
+
+    def _arena_slabs(self, sizes: Sequence[int]) -> List[np.ndarray]:
+        """Slab buffers for a program needing ``sizes`` elements per slab,
+        out of the session's one arena (slab ``i`` of every program is a
+        prefix of the same buffer, regrown when a program needs more).
+
+        A regrown slab is rounded up to four significant bits (at most
+        12.5 % slack, untouched pages cost nothing): cached programs keep
+        the buffer they were bound to, so batches of nearly equal size
+        should land on one buffer rather than one generation each."""
+        arena = self._arena
+        slabs = []
+        for i, n in enumerate(sizes):
+            slab = arena[i] if i < len(arena) else None
+            if slab is None or slab.size < n:
+                shift = max(int(n).bit_length() - 4, 0)
+                slab = np.zeros(-(-int(n) >> shift) << shift,
+                                dtype=np.float32)
+                if i < len(arena):
+                    arena[i] = slab
+                else:
+                    arena.append(slab)
+            slabs.append(slab)
+        return slabs
 
     def compiled_program(self, program: Program) -> Optional[CompiledProgram]:
         """The cached :class:`CompiledProgram` for ``program``, if any.
@@ -893,7 +948,7 @@ class Session:
     def reset(self) -> None:
         """Drop every cache and counter owned by this session.
 
-        Clears the compiled-program LRU, the builder memo, the
+        Clears the compiled-program LRU and its arena, the builder memo, the
         per-signature statistics, and the prelude memo/cache with their
         statistics.  A session-private executor is reset *cold*: its
         kernel cache is dropped and its lowering / kernel-cache / codegen
@@ -906,6 +961,7 @@ class Session:
         cleanup hook for tests and long-running processes.
         """
         self._programs.clear()
+        self._arena.clear()
         self._memo.clear()
         self.prelude_cache.clear()
         self.prelude_cache.hits = 0

@@ -116,6 +116,7 @@ class RaggedLayout:
             for d, ext in zip(self.dims, raw_extents)
         )
         self.dgraph = DimensionGraph.from_layout(self.dims, self.extents)
+        self._is_ragged = bool(self.dgraph.vdims())
         self._validate_prototype_restriction()
         self._aux: Optional[LayoutAux] = None
 
@@ -163,7 +164,7 @@ class RaggedLayout:
     @property
     def is_ragged(self) -> bool:
         """True if the layout has at least one variable dimension."""
-        return bool(self.dgraph.vdims())
+        return self._is_ragged
 
     def storage_pad_of(self, i: int) -> int:
         return self.storage_padding.get(self.dims[i], 1)

@@ -142,7 +142,16 @@ def random_qkv(lengths: Sequence[int], config: TransformerConfig = PAPER_BASE_CO
 
 
 def _qkv_layout(lengths: np.ndarray, heads: int, head_size: int) -> RaggedLayout:
-    """Layout of a per-sequence ``[batch, heads, s(b), head_size]`` tensor."""
+    """Layout of a per-sequence ``[batch, heads, s(b), head_size]`` tensor
+    (one immutable object per distinct argument set)."""
+    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    return _qkv_layout_memo(lens.tobytes(), int(heads), int(head_size))
+
+
+@lru_cache(maxsize=64)
+def _qkv_layout_memo(lens_bytes: bytes, heads: int,
+                     head_size: int) -> RaggedLayout:
+    lengths = np.frombuffer(lens_bytes, dtype=np.int64)
     batch = Dim("batch")
     return RaggedLayout(
         [batch, Dim("head"), Dim("seq"), Dim("hd")],
@@ -810,6 +819,7 @@ def _attnv_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
     }
 
 
+register_schedule_memo("attention.qkv_layout", _qkv_layout_memo)
 register_schedule_memo("attention.qkt", _qkt_schedule)
 register_schedule_memo("attention.qkt_split", _qkt_split_schedule)
 register_schedule_memo("attention.attnv", _attnv_schedule)

@@ -48,8 +48,12 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
     """Append a packed-token layer normalisation to a program graph.
 
     ``tokens`` names a dense ``(total_tokens, hidden)`` value; gamma/beta
-    become program constants and the host step applies
-    :func:`layernorm_flat` into the planned output buffer.
+    become program constants and the host step computes
+    :func:`layernorm_flat` -- the same operations in the same order, so
+    bit-identical -- through ``out=`` ufuncs straight into the planned
+    output buffer.  The only temporaries are the per-token mean and
+    variance columns: the squared deviations are formed in the output
+    buffer, which is then overwritten with the centred tokens again.
     """
     g = program.add_constant(f"{name}.gamma",
                              np.asarray(gamma, dtype=np.float32))
@@ -57,7 +61,19 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
                              np.asarray(beta, dtype=np.float32))
 
     def _layernorm(out_mat, toks, g_vec, b_vec):
-        out_mat[...] = layernorm_flat(toks, g_vec, b_vec, eps=eps)
+        n = toks.shape[-1]
+        mean = np.add.reduce(toks, axis=-1, keepdims=True)
+        np.true_divide(mean, n, out=mean)
+        np.subtract(toks, mean, out=out_mat)
+        np.multiply(out_mat, out_mat, out=out_mat)
+        scale = np.add.reduce(out_mat, axis=-1, keepdims=True)
+        np.true_divide(scale, n, out=scale)
+        np.add(scale, eps, out=scale)
+        np.sqrt(scale, out=scale)
+        np.subtract(toks, mean, out=out_mat)
+        np.divide(out_mat, scale, out=out_mat)
+        np.multiply(out_mat, g_vec, out=out_mat)
+        np.add(out_mat, b_vec, out=out_mat)
 
     (value,) = program.add_host(
         name, _layernorm, [tokens, g, b],

@@ -70,8 +70,15 @@ def masked_softmax_dense(scores: np.ndarray, lengths: Sequence[int]) -> np.ndarr
 
 def attention_scores_layout(lengths: Sequence[int], num_heads: int,
                             ) -> RaggedLayout:
-    """Layout of the ragged attention-score tensor ``[batch, heads, s(b), s(b)]``."""
-    lens = np.asarray(lengths, dtype=np.int64)
+    """Layout of the ragged attention-score tensor ``[batch, heads, s(b), s(b)]``
+    (one immutable object per distinct argument set, see :func:`_scores_layout`)."""
+    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    return _scores_layout(lens.tobytes(), int(num_heads))
+
+
+@lru_cache(maxsize=64)
+def _scores_layout(lens_bytes: bytes, num_heads: int) -> RaggedLayout:
+    lens = np.frombuffer(lens_bytes, dtype=np.int64)
     batch = Dim("batch")
     return RaggedLayout(
         [batch, Dim("head"), Dim("qi"), Dim("kj")],
@@ -83,7 +90,13 @@ def attention_rows_layout(lengths: Sequence[int], num_heads: int,
                           ) -> RaggedLayout:
     """Layout of a per-row attention reduction ``[batch, heads, s(b)]``
     (the row-max and row-sum tensors of the softmax chain)."""
-    lens = np.asarray(lengths, dtype=np.int64)
+    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    return _rows_layout(lens.tobytes(), int(num_heads))
+
+
+@lru_cache(maxsize=64)
+def _rows_layout(lens_bytes: bytes, num_heads: int) -> RaggedLayout:
+    lens = np.frombuffer(lens_bytes, dtype=np.int64)
     batch = Dim("batch")
     return RaggedLayout(
         [batch, Dim("head"), Dim("qi")],
@@ -274,6 +287,8 @@ def masked_softmax_nodes(program: "Program", scores: str,
     return softmax_nodes(program, masked, lens, num_heads, prefix=prefix)
 
 
+register_schedule_memo("softmax.scores_layout", _scores_layout)
+register_schedule_memo("softmax.rows_layout", _rows_layout)
 register_schedule_memo("softmax.chain", _softmax_schedules)
 register_schedule_memo("softmax.mask", _mask_schedule)
 register_schedule_memo("softmax.causal_mask_matrix", causal_mask_matrix)

@@ -96,7 +96,7 @@ class TestVectorizedConstructs:
         data = RaggedTensor.random(ragged_layout(LENGTHS), seed=3)
         assert_backends_match(run_both(op, {"A": data}))
 
-    def test_ragged_matmul_einsum(self):
+    def test_ragged_matmul(self):
         batch, seq, j = Dim("batch"), Dim("seq"), Dim("j")
         A = input_tensor("A", [batch, seq, Dim("h")],
                          [ConstExtent(len(LENGTHS)), VarExtent(batch, LENGTHS),
@@ -111,7 +111,9 @@ class TestVectorizedConstructs:
         ta = RaggedTensor.random(ragged_layout(LENGTHS, 6), seed=4)
         w = np.random.default_rng(5).standard_normal((6, 5)).astype(np.float32)
         outs = run_both(op, {"A": ta, "W": w})
-        assert "np.einsum" in outs["vector"][1].source
+        source = outs["vector"][1].source
+        assert "np.matmul(" in source and "out=_o" in source
+        assert "einsum" not in source
         assert_backends_match(outs)
 
     def test_variable_reduction_bound(self):
@@ -221,7 +223,7 @@ class TestGuardedSplitVectorized:
         w = np.random.default_rng(5).standard_normal((6, 5)).astype(np.float32)
         outs = run_both(op, {"A": ta, "W": w},
                         schedule_fn=lambda s: s.split(s.operator.dims[1], 4))
-        assert "np.einsum" in outs["vector"][1].source
+        assert "np.matmul(" in outs["vector"][1].source
         assert_backends_match(outs)
 
     def test_padded_split_without_guard(self):
@@ -540,12 +542,17 @@ class TestDenseOutput:
 
 
 class TestVectorSourceShape:
-    def test_uses_gathers_not_scalar_loops(self):
+    def test_uses_slab_views_not_scalar_loops(self):
         op, _ = _elementwise_op()
         compiled = Executor(backend="vector").compile(Schedule(op))
         assert compiled.backend_name == "vector"
+        # Inputs and the output are addressed as slab views (gathered /
+        # scattered only for a bucket with gaps), and the body is
+        # computed straight into the output: no temp, no broadcast.
         assert "_gather_slices" in compiled.source
-        assert "_scatter_slices" in compiled.source
+        assert "_out_slices" in compiled.source
+        assert "out=_o" in compiled.source
+        assert "broadcast_to" not in compiled.source
         # One Python loop (over instance buckets), everything else vectorized.
         assert compiled.source.count("for _") == 1
 

@@ -477,9 +477,14 @@ class TestSerialShortcut:
             bound = {f"R{i}.tokens": _packed(g, seed=i)
                      for i, g in enumerate(groups)}
             session.run(wide, bound)
+            # Structure, not luck: the plan is wide, so the engine must
+            # take the pool path.  How many steps the two workers then
+            # happen to overlap (``max_inflight``) is up to the OS
+            # scheduler and is deliberately not asserted.
+            assert session.compiled_program(wide).plan.max_width >= 2
             assert engine.stats()["serial_shortcuts"] == 0
             assert engine._pool is not None
-            assert engine.stats()["max_inflight"] >= 2
+            assert engine.runs == 1
         finally:
             session.close()
 
