@@ -1,25 +1,28 @@
 """Persistent ahead-of-time kernel cache.
 
 The in-process kernel cache (:class:`repro.core.executor.Executor`)
-already makes re-compilation free *within* a process, but every fresh
+and the process-wide kernel table (:func:`repro.core.codegen.structure_kernel`)
+already make generating a kernel a once-per-process cost, but every fresh
 process -- each CI shard, every :class:`ProcessPoolEngine` worker, every
-cold serving replica -- re-lowers and re-``exec``\\ s every kernel from
-scratch.  CoRa's central premise (raggedness is known *before*
-execution, so compilation can be hoisted out of the hot path entirely)
-extends across processes: for a given (operator, schedule, raggedness
-signature, backend) the lowered kernel and its generated source are
-deterministic, so they can be computed once per machine and reloaded
-from disk forever after.
+cold serving replica -- re-generates every kernel from scratch.  CoRa's
+compile model (the operator is generated once; a mini-batch only runs the
+host prelude that builds its auxiliary tables) extends across processes:
+for a given kernel *structure* -- operator, schedule, backend, and the
+emitter's length-dependent decisions -- the generated source is
+deterministic, so it is generated once per machine and reloaded from disk
+forever after, for every raggedness signature.
 
-Keys must be *content*-based: the in-memory ``schedule_signature`` keys
-on object identities (``id(op)``, ``Dim`` uids from a per-process
-counter), which are meaningless in another process.
-:func:`stable_schedule_fingerprint` instead canonicalises every ``Dim``
-to its first-appearance index over a deterministic traversal and hashes
-extents by their length-table bytes.  Anything whose behaviour cannot
-be captured by content -- callable-backed extents, callable remap
-policies -- raises :class:`Uncacheable` and the kernel simply skips the
-disk tier (correctness never depends on cacheability).
+Keys must be *content*-based and *length-free*: the in-memory
+``schedule_signature`` keys on object identities (``id(op)``, ``Dim``
+uids from a per-process counter), which are meaningless in another
+process and differ per mini-batch.  :func:`stable_schedule_fingerprint`
+instead canonicalises every ``Dim`` to its first-appearance index over a
+deterministic traversal, and describes a variable extent by its
+dependence only -- never by its length table -- and a tensor's leading
+extent (which counts instances) not at all.  Anything whose behaviour
+cannot be captured by content -- callable-backed extents, callable remap
+policies -- raises :class:`Uncacheable` and the kernel is simply
+generated per instance (correctness never depends on cacheability).
 
 Entries are pickled dicts written atomically (temp file +
 ``os.replace``) under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``; any
@@ -39,11 +42,11 @@ import pickle
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.codegen import GeneratedKernel, compile_kernel_source
+from repro.core.codegen import GeneratedKernel
 from repro.core.extents import ConstExtent, Extent, PaddedExtent, VarExtent
 from repro.core.ir import (
     BinOp,
@@ -54,7 +57,6 @@ from repro.core.ir import (
     Reduce,
     TensorAccess,
 )
-from repro.core.lowering import LoweredKernel
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
 
@@ -63,8 +65,9 @@ _LOG = logging.getLogger(__name__)
 #: Bump when the entry payload, the fingerprint scheme or the *generated
 #: source* changes shape (a stale kernel must never be rebuilt against a
 #: newer runtime).  2: store-through vector emission (kernels fill their
-#: own outputs; new runtime helper signatures).
-AOT_VERSION = 2
+#: own outputs; new runtime helper signatures).  3: one entry per kernel
+#: structure (no lowered kernel, no buckets; kernels read both from aux).
+AOT_VERSION = 3
 
 
 class Uncacheable(Exception):
@@ -103,13 +106,6 @@ class _Canon:
         return i
 
 
-def _table_digest(table: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(str(table.shape).encode())
-    h.update(np.ascontiguousarray(table).tobytes())
-    return h.hexdigest()
-
-
 def _extent_fp(ext: Extent, canon: _Canon) -> Tuple:
     if isinstance(ext, PaddedExtent):
         return ("pad", ext.multiple, _extent_fp(ext.base, canon))
@@ -119,8 +115,20 @@ def _extent_fp(ext: Extent, canon: _Canon) -> Tuple:
         if ext.table is None:
             raise Uncacheable(
                 f"extent {ext.name!r} is callable-backed (no length table)")
-        return ("var", canon.dim(ext.dep), ext.name, _table_digest(ext.table))
+        return ("var", canon.dim(ext.dep), ext.name)
     raise Uncacheable(f"unknown extent type {type(ext).__name__}")
+
+
+def _extents_fp(extents, canon: _Canon) -> Tuple:
+    """A tensor's (or loop nest's) extents; the leading one counts
+    instances -- generated code reads it at run time -- so only its kind
+    and padding are structure."""
+    fps = [_extent_fp(e, canon) for e in extents]
+    if fps and fps[0][0] == "const":
+        fps[0] = ("const",)
+    elif fps and fps[0][0] == "pad" and fps[0][2][0] == "const":
+        fps[0] = ("pad", fps[0][1], ("const",))
+    return tuple(fps)
 
 
 def _expr_fp(expr: Expr, canon: _Canon) -> Tuple:
@@ -138,7 +146,7 @@ def _expr_fp(expr: Expr, canon: _Canon) -> Tuple:
         spec = expr.tensor
         return ("acc", spec.name,
                 tuple(canon.dim(d) for d in spec.dims),
-                tuple(_extent_fp(e, canon) for e in spec.extents),
+                _extents_fp(spec.extents, canon),
                 tuple(_expr_fp(i, canon) for i in expr.indices))
     if isinstance(expr, Reduce):
         return ("red", expr.combiner, float(expr.init),
@@ -151,7 +159,7 @@ def _expr_fp(expr: Expr, canon: _Canon) -> Tuple:
 def _layout_fp(layout: RaggedLayout, canon: _Canon) -> Tuple:
     return (
         tuple(canon.dim(d) for d in layout.dims),
-        tuple(_extent_fp(e, canon) for e in layout.base_extents),
+        _extents_fp(layout.base_extents, canon),
         tuple(sorted((canon.dim(d), p)
                      for d, p in layout.storage_padding.items())),
     )
@@ -161,23 +169,25 @@ def stable_schedule_fingerprint(
     schedule: Schedule,
     input_layouts: Optional[Dict[str, RaggedLayout]] = None,
 ) -> Tuple:
-    """A cross-process-stable equivalent of ``schedule_signature``.
+    """The kernel *structure* of a scheduled operator: a cross-process-
+    stable, length-free equivalent of ``schedule_signature``.
 
-    Covers everything lowering reads: the operator (dims, extents, body
-    expression, input specs), the full mutable schedule state, and the
-    input-layout overrides.  Raises :class:`Uncacheable` when any part
-    of that state is an arbitrary callable.
+    Covers everything lowering and emission read except the lengths: the
+    operator (dims, extent kinds and constants, body expression, input
+    specs), the full mutable schedule state, and the input-layout
+    overrides.  Raises :class:`Uncacheable` when any part of that state
+    is an arbitrary callable.
     """
     canon = _Canon()
     op = schedule.operator
     op_fp = (
         "op", op.name,
         tuple(canon.dim(d) for d in op.dims),
-        tuple(_extent_fp(e, canon) for e in op.loop_extents),
-        tuple(_extent_fp(e, canon) for e in op.storage_extents),
+        _extents_fp(op.loop_extents, canon),
+        _extents_fp(op.storage_extents, canon),
         _expr_fp(op.body, canon),
         tuple(("in", t.name, tuple(canon.dim(d) for d in t.dims),
-               tuple(_extent_fp(e, canon) for e in t.extents))
+               _extents_fp(t.extents, canon))
               for t in op.inputs),
     )
     remaps = []
@@ -217,19 +227,20 @@ def kernel_cache_key(
     input_layouts: Optional[Dict[str, RaggedLayout]],
     backend: str,
 ) -> str:
-    """The on-disk key (a sha256 hex digest) for one compiled kernel.
+    """The on-disk key of one kernel structure (see :func:`disk_key`)."""
+    return disk_key(
+        (backend, stable_schedule_fingerprint(schedule, input_layouts)))
 
-    Mixes in the payload version and the python / numpy versions: a
-    pickled ``LoweredKernel`` or generated source is only guaranteed to
-    rebuild under the toolchain that produced it.
+
+def disk_key(structure: Tuple) -> str:
+    """The on-disk key (a sha256 hex digest) of a ``(backend,
+    fingerprint)`` kernel structure.
+
+    Mixes in the payload version and the python / numpy versions:
+    generated source is only guaranteed to rebuild under the toolchain
+    that produced it.
     """
-    fp = (
-        AOT_VERSION,
-        sys.version_info[:2],
-        np.__version__,
-        backend,
-        stable_schedule_fingerprint(schedule, input_layouts),
-    )
+    fp = (AOT_VERSION, sys.version_info[:2], np.__version__, *structure)
     return hashlib.sha256(repr(fp).encode()).hexdigest()
 
 
@@ -260,57 +271,52 @@ class AOTCache:
     # -- entry (de)hydration -------------------------------------------------
 
     @staticmethod
-    def _payload(lowered: LoweredKernel,
-                 generated: GeneratedKernel) -> Dict[str, object]:
+    def _variant(generated: GeneratedKernel) -> Dict[str, object]:
         return {
-            "version": AOT_VERSION,
-            "lowered": lowered,
+            "name": generated.name,
             "source": generated.source,
             "fn_name": generated.fn.__name__,
             "backend": generated.backend,
             "fallback_reason": generated.fallback_reason,
             "fills_output": generated.fills_output,
-            # Bucketed vector kernels close over their compile-time bucket
-            # partition; rebuild needs it back in the namespace.
-            "buckets": generated.fn.__globals__.get("_BUCKETS"),
+            "decisions": generated.decisions,
+            "prelude": generated.prelude,
         }
 
     @staticmethod
-    def _rebuild(payload: Dict[str, object]) -> Tuple[LoweredKernel,
-                                                      GeneratedKernel]:
+    def _rebuild(variant: Dict[str, object]) -> GeneratedKernel:
         from repro.core.codegen_vector import KERNEL_NAMESPACE
-        lowered = payload["lowered"]
-        source = payload["source"]
         namespace: Dict[str, object] = {"math": math, **KERNEL_NAMESPACE}
-        if payload.get("buckets") is not None:
-            namespace["_BUCKETS"] = payload["buckets"]
-        exec(compile_kernel_source(source, f"<cora-aot:{lowered.name}>"),
-             namespace)
-        fn = namespace[payload["fn_name"]]
-        generated = GeneratedKernel(
-            name=lowered.name, source=source, fn=fn,
-            backend=payload["backend"],
-            fallback_reason=payload.get("fallback_reason"),
-            fills_output=payload["fills_output"])
-        return lowered, generated
+        exec(compile(variant["source"], f"<cora-aot:{variant['name']}>",
+                     "exec"), namespace)
+        fields = {k: v for k, v in variant.items() if k != "fn_name"}
+        return GeneratedKernel(fn=namespace[variant["fn_name"]], **fields)
+
+    def _read(self, key: str) -> List[Dict[str, object]]:
+        """The variants stored under ``key`` ([] when there is no entry;
+        raises on a corrupt or version-skewed one)."""
+        try:
+            with open(self._path(key), "rb") as fh:
+                payload = pickle.load(fh)
+        except FileNotFoundError:
+            return []
+        version = payload.get("version") \
+            if isinstance(payload, dict) else None
+        if version != AOT_VERSION:
+            raise ValueError(
+                f"entry version {version!r}, expected {AOT_VERSION}")
+        return list(payload["variants"])
 
     # -- public API ----------------------------------------------------------
 
-    def load(self, key: str) -> Optional[Tuple[LoweredKernel, GeneratedKernel]]:
-        """Fetch and rebuild a kernel, or ``None`` on any miss/failure."""
-        path = self._path(key)
+    def load(self, key: str, holds: Callable[[Tuple], bool],
+             ) -> Optional[GeneratedKernel]:
+        """Fetch and rebuild the kernel of structure ``key`` whose recorded
+        decisions ``holds`` confirms, or ``None`` on any miss/failure."""
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            version = payload.get("version") \
-                if isinstance(payload, dict) else None
-            if version != AOT_VERSION:
-                raise ValueError(
-                    f"entry version {version!r}, expected {AOT_VERSION}")
-            result = self._rebuild(payload)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
+            variant = next((v for v in self._read(key)
+                            if holds(v["decisions"])), None)
+            result = None if variant is None else self._rebuild(variant)
         except Exception as exc:
             self.misses += 1
             _LOG.warning(
@@ -318,21 +324,25 @@ class AOTCache:
                 key[:12], type(exc).__name__, exc,
                 extra={"event": "aot_cache.entry_rejected", "key": key})
             return None
-        self.hits += 1
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
         return result
 
-    def store(self, key: str, lowered: LoweredKernel,
-              generated: GeneratedKernel) -> bool:
-        """Persist a kernel atomically; ``False`` (never raise) on failure.
-
-        Unpicklable lowered kernels -- e.g. callable-backed extents that
-        slipped past fingerprinting, or closure-carrying generated code
-        -- are simply skipped.
-        """
+    def store(self, key: str, generated: GeneratedKernel) -> bool:
+        """Persist a kernel atomically, next to the other decision
+        variants of its structure; ``False`` (never raise) on failure."""
         path = self._path(key)
         try:
-            payload = pickle.dumps(self._payload(lowered, generated),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                variants = self._read(key)
+            except Exception:
+                variants = []       # a rejected entry is overwritten
+            variants.append(self._variant(generated))
+            payload = pickle.dumps(
+                {"version": AOT_VERSION, "variants": variants},
+                protocol=pickle.HIGHEST_PROTOCOL)
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent,
                                        prefix=f".{key[:8]}.", suffix=".tmp")

@@ -26,12 +26,13 @@ or that padded loops carry no bound checks).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.cache import LRUDict
 from repro.core.dims import Dim
 from repro.core.errors import LoweringError
 from repro.core.ir import (
@@ -61,6 +62,13 @@ _INTRINSICS = {
 class GeneratedKernel:
     """The generated source plus the compiled callable.
 
+    A generated kernel is a pure function of ``(buffers, aux)``: nothing
+    in its source or namespace names an instance length, so one object
+    serves every raggedness signature of its *structure* (see
+    :func:`structure_kernel`).  ``decisions`` and ``prelude`` are what a
+    new instance needs to check and to build before it may share the
+    kernel (:mod:`repro.core.codegen_vector`).
+
     ``backend`` records which backend actually emitted the kernel -- for a
     :class:`~repro.core.codegen_vector.VectorBackend` request that hit an
     unvectorizable construct it reads ``"scalar"`` (the fallback), which is
@@ -77,8 +85,15 @@ class GeneratedKernel:
     #: region plus any storage padding -- so callers need not pre-zero them
     fills_output: bool = False
     #: float32 elements of scratch a fused-region kernel expects as
-    #: ``buffers["ws"]`` (private to the call site; 0 = none)
+    #: ``buffers["ws"]`` (private to the call site; 0 = none) -- set per
+    #: instance, on a copy of the shared kernel
     workspace_elements: int = 0
+    #: the length-dependent checks the emitter made, with their outcomes:
+    #: the kernel is valid for exactly the instances that repeat them
+    decisions: Tuple = ()
+    #: recipe of the per-instance aux entries the kernel reads beyond the
+    #: lowered tables (bucket partition, workspace offsets); ``None`` = none
+    prelude: Optional[Tuple] = None
 
     def __call__(self, buffers: Dict[str, np.ndarray], aux: Dict[str, np.ndarray]) -> None:
         self.fn(buffers, aux)
@@ -104,16 +119,35 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-@lru_cache(maxsize=1024)
-def compile_kernel_source(source: str, filename: str):
-    """``compile`` a generated kernel module, memoised on its text.
+#: The process-wide kernel table: structure key -> the kernels generated for
+#: it, one per distinct set of emitter decisions.  Bounded; shared by every
+#: executor, the plain and the fused emitter and the AOT disk tier.
+_STRUCTURES: "LRUDict[object, List[GeneratedKernel]]" = LRUDict(1024)
+_STRUCTURES_LOCK = threading.Lock()
 
-    Emitted source does not mention instance lengths (those live in aux
-    tables and the injected ``_BUCKETS``), so the batches a server sees
-    mostly re-emit text it has already byte-compiled; each kernel still
-    ``exec``s the code object into a namespace of its own.
-    """
-    return compile(source, filename, "exec")
+
+def structure_kernel(key: object, holds: Callable[[Tuple], bool],
+                     ) -> Optional[GeneratedKernel]:
+    """The kernel already generated for structure ``key`` whose recorded
+    decisions ``holds`` confirms for the instance at hand, if any."""
+    with _STRUCTURES_LOCK:
+        variants = list(_STRUCTURES.get(key) or ())
+    return next((g for g in variants if holds(g.decisions)), None)
+
+
+def remember_structure(key: object, generated: GeneratedKernel) -> None:
+    with _STRUCTURES_LOCK:
+        variants = _STRUCTURES.get(key)
+        if variants is None:
+            _STRUCTURES.put(key, [generated])
+        else:
+            variants.append(generated)
+
+
+def clear_structures() -> None:
+    """Forget every generated kernel (tests; a cold process)."""
+    with _STRUCTURES_LOCK:
+        _STRUCTURES.clear()
 
 
 class CodeGenerator:
@@ -129,7 +163,7 @@ class CodeGenerator:
     def generate(self) -> GeneratedKernel:
         source = self.generate_source()
         namespace: Dict[str, object] = {"math": math, "np": np}
-        exec(compile_kernel_source(source, f"<cora:{self.kernel.name}>"), namespace)
+        exec(compile(source, f"<cora:{self.kernel.name}>", "exec"), namespace)
         fn = namespace[self._fn_name()]
         return GeneratedKernel(name=self.kernel.name, source=source, fn=fn)
 
@@ -163,7 +197,9 @@ class CodeGenerator:
 
     def _bound_code(self, bound: BoundSpec) -> str:
         if bound.is_const:
-            return str(bound.value)
+            # An instance-count bound is read at run time, not named.
+            return (f"int(_aux_{self._safe(bound.table_name)})"
+                    if bound.table_name else str(bound.value))
         gov_code = self._dim_code(bound.governing)
         return f"int(_aux_{self._safe(bound.table_name)}[{gov_code}])"
 

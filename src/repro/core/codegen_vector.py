@@ -74,20 +74,25 @@ Anything in the ``scalar`` rows raises :class:`VectorizeError` and
 (recording the reason), which is why the scalar emitter stays the reference
 implementation for differential testing.
 
-Bucketing note: buckets are computed at *compile* time from the lowered
-kernel's auxiliary arrays (they are baked into the kernel, so the grouping
-can never go stale) and injected into the kernel namespace as ``_BUCKETS``.
-Per-bucket view arithmetic (offsets, shapes) stays at run time on aux
-scalars.  The emitted *text* therefore names no instance lengths, and a
-batch of never-seen raggedness mostly re-emits text that is already
-byte-compiled (:func:`repro.core.codegen.compile_kernel_source`).
+**Structure and prelude.**  A generated kernel is a pure function of
+``(buffers, aux)``: its text names no instance length, instance count or
+workspace size, so it is emitted once per kernel *structure* and shared by
+every raggedness signature (:func:`repro.core.codegen.structure_kernel`).
+What depends on the lengths is (a) the emitter's *decisions* -- does a
+loop bound fit, or exactly fill, a storage extent; do two padded extents
+agree -- recorded with their outcomes in ``GeneratedKernel.decisions`` and
+re-checked for a new instance by :func:`decisions_hold`, and (b) the
+*prelude* :func:`bind_prelude` adds to the lowered tables: the bucket
+partition ``aux["buckets"]`` and a fused region's workspace offsets
+``aux["ws_offsets"]``.  Per-bucket view arithmetic (offsets, shapes)
+stays at run time on aux scalars.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,7 +103,6 @@ from repro.core.codegen import (
     GeneratedKernel,
     ScalarBackend,
     _Emitter,
-    compile_kernel_source,
 )
 from repro.core.dims import Dim
 from repro.core.errors import LoweringError
@@ -251,12 +255,11 @@ class _VecBound:
     def const_value(self) -> int:
         return int(self.base.value) * self.scale
 
-    def values(self, kernel: LoweredKernel) -> np.ndarray:
+    def ref(self, member: int) -> Tuple:
+        """The bound over every governing index, as a table reference."""
         if self.base.is_const:
-            return np.asarray([self.const_value()], dtype=np.int64)
-        table = np.asarray(kernel.aux_arrays[self.base.table_name],
-                           dtype=np.int64)
-        return table * self.scale
+            return (member, "const", self.const_value())
+        return (member, "bound", self.base.table_name, self.scale)
 
 
 @dataclass
@@ -267,32 +270,136 @@ class _AliasSource:
     -- exactly the array a slab view of the value would be, so NumPy
     sees identical shapes and strides fused and unfused (matmul and the
     pairwise reductions are layout-sensitive at the ULP level).
-    ``tables`` holds, per store axis, the producer's storage-padded
+    ``tables`` references, per store axis, the producer's storage-padded
     extents over every governing index; consumers check both their own
     padding (must be equal) and their loop bounds (must fit) against
     them at compile time.
     """
 
     var: str
-    tables: Tuple[np.ndarray, ...]
+    tables: Tuple[Tuple, ...]
 
 
 @dataclass
 class _AliasOut:
     """Where an internal member's store goes inside a fused region:
-    ``var`` becomes a view of the region workspace at element ``offset``,
-    or -- when ``reuse`` names the view of an input that dies at this
-    member and is only read elementwise -- that view itself, so the
-    member overwrites its input in place."""
+    ``var`` becomes a view of workspace region ``region`` (its element
+    offset is the instance's ``aux["ws_offsets"][region]``), or -- when
+    ``reuse`` names the view of an input that dies at this member and is
+    only read elementwise -- that view itself, so the member overwrites
+    its input in place."""
 
     var: str
-    offset: int = 0
+    region: int = 0
     reuse: Optional[str] = None
+
+
+# ---------------------------------------------------------------------------
+# Length-dependent decisions and the prelude they leave to the instance
+# ---------------------------------------------------------------------------
+
+
+def _resolve(ref: Tuple, kernels: Sequence[LoweredKernel]) -> np.ndarray:
+    """Evaluate a table reference ``(member, kind, *args)`` on an instance
+    (``kernels``: its lowered kernel, or the members of its fused region)."""
+    member, kind, *args = ref
+    kernel = kernels[member]
+    if kind == "const":
+        return np.asarray(args, dtype=np.int64)
+    if kind == "bound":         # a bound table times its split factor
+        return kernel.aux_arrays[args[0]] * args[1]
+    if kind == "shape":         # one axis of a ragged tensor's storage
+        return kernel.aux_arrays[args[0]][:, args[1]]
+    if kind == "dense":         # one axis of a dense tensor (None: output)
+        plan = kernel.output_plan if args[0] is None \
+            else kernel.input_plans[args[0]]
+        return np.asarray([plan.layout.dense_shape()[args[1]]],
+                          dtype=np.int64)
+    if kind == "count":         # extent of the outermost loop
+        return np.asarray([kernel.loops[0].bound.value], dtype=np.int64)
+    if kind == "rows":          # governing extent of the output storage
+        return np.asarray([kernel.output_plan.layout.governing_extent()],
+                          dtype=np.int64)
+    row = kernel.aux_arrays[f"{args[0]}_row"]
+    if kind == "instances":     # governing extent under a fused loop
+        return np.asarray([row.size], dtype=np.int64)
+    # "fused": per-governing-index fused (loop-padded) lengths
+    total = kernel.aux_arrays[f"{args[0]}_ffo"].size
+    return np.diff(np.concatenate([row, [total]]))
+
+
+def _fit(needed: np.ndarray, available: np.ndarray) -> Optional[bool]:
+    """``None`` when a loop bound exceeds its storage extent, else whether
+    the bound *equals* the extent at every governing index."""
+    comparable = needed.size == available.size \
+        or 1 in (needed.size, available.size)
+    if not comparable:
+        n = min(needed.size, available.size) or 1
+        needed, available = needed[:n], available[:n]
+    slack = available - needed
+    if slack.size and slack.min() < 0:
+        return None
+    return comparable and not slack.any()
+
+
+#: decision kind -> its outcome on two resolved tables
+_OUTCOMES = {
+    "fit": _fit,
+    "exceeds": lambda a, b: _fit(a, b) is None,
+    "same": lambda a, b: bool(np.array_equal(a.ravel(), b.ravel())),
+    "all": lambda a, b: bool(np.all(a == b)),
+}
+
+
+def decisions_hold(decisions: Tuple,
+                   kernels: Sequence[LoweredKernel]) -> bool:
+    """Whether an instance repeats every recorded emitter decision -- i.e.
+    whether the kernel generated under them computes this instance too."""
+    tables: Dict[Tuple, np.ndarray] = {}
+
+    def table(ref: Tuple) -> np.ndarray:
+        if ref not in tables:
+            tables[ref] = _resolve(ref, kernels)
+        return tables[ref]
+
+    return all(_OUTCOMES[kind](table(a), table(b)) == outcome
+               for (kind, a, b), outcome in decisions)
+
+
+def bind_prelude(generated: GeneratedKernel,
+                 kernels: Sequence[LoweredKernel],
+                 ) -> Tuple[Dict[str, object], int]:
+    """The per-instance half of a bucketed kernel: the extra ``aux``
+    entries it reads (bucket partition; a fused region's workspace
+    offsets) and the workspace elements it needs."""
+    if generated.prelude is None:
+        return {}, 0
+    tables, regions = generated.prelude
+    buckets = bucket_by_signature(
+        kernels[0].loops[0].bound.value,
+        [kernels[member].aux_arrays[name] for member, name in tables])
+    extra: Dict[str, object] = {"buckets": buckets}
+    if not regions:
+        return extra, 0
+    # Workspace layout: one region per (non-reusing) internal value,
+    # each sized for the bucket that needs the most of it.
+    firsts = np.asarray([int(b[0]) for b in buckets], dtype=np.int64)
+    counts = np.asarray([b.size for b in buckets], dtype=np.int64)
+    offsets, workspace = [], 0
+    for refs in regions:
+        size = np.ones(1, dtype=np.int64)
+        for ref in refs:
+            size = size * _resolve(ref, kernels)
+        per_bucket = counts * (size[firsts] if size.size > 1 else size)
+        offsets.append(workspace)
+        workspace += int(per_bucket.max()) if per_bucket.size else 0
+    extra["ws_offsets"] = offsets
+    return extra, max(workspace, 1)
 
 
 def _emit_bucket_loop(em: _Emitter) -> None:
     """Open the loop over instance buckets."""
-    em.emit("for _bs in _BUCKETS:")
+    em.emit("for _bs in aux['buckets']:")
     em.push()
     em.emit("_nb = _bs.size")
     em.emit("_b0 = int(_bs[0])")
@@ -310,14 +417,25 @@ class VectorCodeGenerator:
     the ``aux`` dict keys, and ``alias`` redirects reads of internalised
     values to their producer's workspace view;
     :func:`generate_fused_kernel` then points the store of an internal
-    member at a workspace view too (``_alias_out``).
+    member at a workspace view too (``_alias_out``).  ``kernels`` /
+    ``member`` place the kernel among the lowered members of its region
+    (what table references resolve against) and ``decisions`` is the
+    region-wide record of length-dependent checks.
     """
 
     def __init__(self, kernel: LoweredKernel, prefix: str = "",
                  value_of: Optional[Dict[str, str]] = None,
                  aux_ns: str = "",
-                 alias: Optional[Dict[str, _AliasSource]] = None):
+                 alias: Optional[Dict[str, _AliasSource]] = None,
+                 kernels: Optional[Sequence[LoweredKernel]] = None,
+                 member: int = 0,
+                 decisions: Optional[Dict[Tuple, object]] = None):
         self.kernel = kernel
+        self._kernels = kernels if kernels is not None else (kernel,)
+        self._member = member
+        #: (kind, table ref, table ref) -> outcome, in the order made
+        self._decisions: Dict[Tuple, object] = \
+            decisions if decisions is not None else {}
         self._prefix = prefix
         self._values = value_of or {}
         self._aux_ns = aux_ns
@@ -341,9 +459,19 @@ class VectorCodeGenerator:
         self._index_arrays: Dict[Dim, str] = {}
         self._gov_value_var: Optional[str] = None
         self._inner_value_var: Optional[str] = None
-        self._buckets_cache: Optional[List[np.ndarray]] = None
         self._accessed_cache: Optional[List[str]] = None
-        self._fused_lengths_cache: Optional[np.ndarray] = None
+
+    def _decide(self, kind: str, a: Tuple, b: Tuple, record: bool = True):
+        """Make (once) and record a length-dependent decision; one that
+        the kernel structure already settles need not be recorded."""
+        probe = (kind, a, b)
+        if probe in self._decisions:
+            return self._decisions[probe]
+        outcome = _OUTCOMES[kind](_resolve(a, self._kernels),
+                                  _resolve(b, self._kernels))
+        if record:
+            self._decisions[probe] = outcome
+        return outcome
 
     # -- analysis ------------------------------------------------------------
 
@@ -450,7 +578,6 @@ class VectorCodeGenerator:
     def _analyze_fused(self, gov: LoopSpec) -> None:
         kernel = self.kernel
         fusion = gov.fusion
-        self.fused_extent = gov.bound.value
         self.map_name = fusion.map_name
         self.gov_dim = fusion.outer_dim
         self.inner_fused_dim = fusion.inner_dim
@@ -480,11 +607,11 @@ class VectorCodeGenerator:
                 raise VectorizeError(
                     "variable reduction bound under a fused governing loop")
             self._red_bounds[dim] = _VecBound(bound)
-        if kernel.output_dims_fused:
-            total = int(kernel.output_plan.layout.dense_shape()[0])
-            if total != self.fused_extent:
-                raise VectorizeError(
-                    "fused loop extent differs from fused storage extent")
+        if kernel.output_dims_fused and not self._decide(
+                "same", (self._member, "dense", None, 0),
+                (self._member, "count")):
+            raise VectorizeError(
+                "fused loop extent differs from fused storage extent")
 
     def _check_bound(self, bound: BoundSpec, dim: Dim) -> None:
         if not bound.is_const and bound.governing is not self.gov_dim:
@@ -506,20 +633,15 @@ class VectorCodeGenerator:
     def generate(self) -> GeneratedKernel:
         source = self.generate_source()
         namespace = dict(KERNEL_NAMESPACE)
-        if self.mode == "loop":
-            namespace["_BUCKETS"] = self._buckets()
-        exec(compile_kernel_source(source, f"<cora-vec:{self.kernel.name}>"),
+        exec(compile(source, f"<cora-vec:{self.kernel.name}>", "exec"),
              namespace)
         fn = namespace[self._fn_name()]
+        prelude = None if self.mode != "loop" else (
+            tuple((0, n) for n in self._signature_tables()), ())
         return GeneratedKernel(name=self.kernel.name, source=source, fn=fn,
-                               backend="vector", fills_output=True)
-
-    def _buckets(self) -> List[np.ndarray]:
-        if self._buckets_cache is None:
-            arrays = [self.kernel.aux_arrays[n]
-                      for n in self._signature_tables()]
-            self._buckets_cache = bucket_by_signature(self.gov_count, arrays)
-        return self._buckets_cache
+                               backend="vector", fills_output=True,
+                               decisions=tuple(self._decisions.items()),
+                               prelude=prelude)
 
     def _signature_tables(self) -> List[str]:
         names: List[str] = []
@@ -611,18 +733,24 @@ class VectorCodeGenerator:
             if name in self._alias or plan.is_ragged:
                 continue
             if self.mode != "fused" or self._dense_needs_nd(name):
-                shape = ", ".join(str(s) for s in plan.layout.dense_shape())
-                em.emit(f"_nd_{self._safe(name)} = "
-                        f"_buf_{self._safe(name)}.reshape({shape})")
+                em.emit(f"_nd_{self._safe(name)} = _buf_{self._safe(name)}"
+                        f".reshape({self._dense_shape_code(plan)})")
         if out_has_buffer and not kernel.output_plan.is_ragged:
-            shape = ", ".join(str(s) for s in kernel.output_plan.layout.dense_shape())
             em.emit(f"_nd_{self._safe(out_name)} = "
-                    f"_buf_{self._safe(out_name)}.reshape({shape})")
-        if out_has_buffer and self.mode == "loop" and int(
-                kernel.output_plan.layout.governing_extent()) != self.gov_count:
+                    f"_buf_{self._safe(out_name)}"
+                    f".reshape({self._dense_shape_code(kernel.output_plan)})")
+        if out_has_buffer and self.mode == "loop" and not self._decide(
+                "same", (self._member, "rows"), (self._member, "count")):
             # Storage rows no governing index reaches: not coverable by
             # per-bucket stores, so the whole buffer is cleared up front.
             em.emit(f"_buf_{self._safe(out_name)}.fill(0.0)")
+
+    @staticmethod
+    def _dense_shape_code(plan: TensorPlan) -> str:
+        """Reshape arguments of a dense tensor: the leading extent may
+        count instances, so it is left to the buffer's size."""
+        return ", ".join(["-1"] + [str(s) for s in
+                                   plan.layout.dense_shape()[1:]])
 
     def emit_bucket_body(self, em: _Emitter, accessed: Sequence[str]) -> None:
         """Emit one loop-mode bucket iteration (bounds, gathers, body).
@@ -735,8 +863,8 @@ class VectorCodeGenerator:
                         f"_aux_{self._safe(plan.shape_name)}, _bs)")
 
     def _emit_fused_prolog(self, em: _Emitter) -> None:
-        em.emit(f"_F = {self.fused_extent}")
         em.emit(f"_ffo = _aux_{self._safe(self.map_name + '_ffo')}")
+        em.emit("_F = _ffo.size")
         em.emit(f"_ffi = _aux_{self._safe(self.map_name + '_ffi')}")
         for dim in self.inner_dims:
             em.emit(f"{self._bound_var[dim]} = "
@@ -1163,8 +1291,8 @@ class VectorCodeGenerator:
         subs: List[str] = [":"]
         for col, idx in enumerate(inner):
             if isinstance(idx, Const):
-                needed = np.asarray([int(idx.value) + 1], dtype=np.int64)
-                self._alias_fit(needed, alias.tables[col], name, col)
+                self._alias_fit((self._member, "const", int(idx.value) + 1),
+                                alias.tables[col], name, col)
                 subs.append(str(int(idx.value)))
                 continue
             if not isinstance(idx, LoopVar) or idx.dim is self.gov_dim:
@@ -1178,8 +1306,8 @@ class VectorCodeGenerator:
                     f"fused alias read of {name!r} indexes "
                     f"{idx.dim.name}, which is not a vectorized loop"
                 )
-            needed = self._vb_of(idx.dim).values(self.kernel)
-            self._alias_fit(needed, alias.tables[col], name, col)
+            self._alias_fit(self._vb_of(idx.dim).ref(self._member),
+                            alias.tables[col], name, col)
             if idx.dim in dims:
                 raise VectorizeError(
                     f"fused alias read of {name!r} indexes "
@@ -1204,53 +1332,35 @@ class VectorCodeGenerator:
         if plan is None:
             raise VectorizeError(
                 f"fused alias read of unknown tensor {name!r}")
-        if plan.is_ragged:
-            try:
-                shapes = np.asarray(self.kernel.aux_arrays[plan.shape_name])
-            except KeyError:
-                raise VectorizeError(
-                    f"fused alias read of {name!r} has no consumer shape "
-                    "table to check padding against")
-            if shapes.ndim != 2 or shapes.shape[1] != len(alias.tables):
-                raise VectorizeError(
-                    f"fused alias read of {name!r}: consumer shape table "
-                    f"rank does not match {len(alias.tables)} store axes")
-            for col, avail in enumerate(alias.tables):
-                if not np.array_equal(np.asarray(shapes[:, col]).ravel(),
-                                      np.asarray(avail).ravel()):
-                    raise VectorizeError(
-                        f"fused consumer pads {name!r} axis {col} "
-                        "differently from the producer's storage extents")
-            return
-        dense = tuple(plan.layout.dense_shape()[1:])
-        if len(dense) != len(alias.tables):
+        if len(plan.layout.dims) - 1 != len(alias.tables):
             raise VectorizeError(
-                f"fused alias read of {name!r}: consumer dense rank does "
+                f"fused alias read of {name!r}: consumer storage rank does "
                 f"not match {len(alias.tables)} store axes")
         for col, avail in enumerate(alias.tables):
-            if not bool(np.all(np.asarray(avail) == int(dense[col]))):
+            if plan.is_ragged:
+                same = self._decide(
+                    "same", (self._member, "shape", plan.shape_name, col),
+                    avail)
+            else:
+                same = self._decide(
+                    "all", avail, (self._member, "dense", name, col + 1))
+            if not same:
                 raise VectorizeError(
-                    f"fused consumer pads {name!r} axis {col} differently "
-                    "from the producer's storage extents")
+                    f"fused consumer pads {name!r} axis {col} "
+                    "differently from the producer's storage extents")
 
-    @staticmethod
-    def _alias_fit(needed: np.ndarray, available: np.ndarray,
+    def _alias_fit(self, needed: Tuple, available: Tuple,
                    name: str, col: int) -> None:
-        if needed.size != available.size and 1 in (needed.size, available.size):
-            exceeded = bool(np.any(needed > available))
-        else:
-            n = min(needed.size, available.size) or 1
-            exceeded = bool(np.any(needed[:n] > available[:n]))
-        if exceeded:
+        if self._decide("exceeds", needed, available):
             raise VectorizeError(
                 f"fused consumer bound exceeds the producer storage extent "
                 f"of {name!r} axis {col}"
             )
 
-    def store_bound_tables(self) -> Tuple[np.ndarray, ...]:
-        """Per-store-axis *storage-padded* extents -- the shape of this
-        kernel's workspace view, and what a consuming member checks its
-        reads against (loop mode only).
+    def store_bound_tables(self) -> Tuple[Tuple, ...]:
+        """References to the per-store-axis *storage-padded* extents --
+        the shape of this kernel's workspace view, and what a consuming
+        member checks its reads against (loop mode only).
 
         These are the padded extents a slab view would have, not the
         tighter loop bounds: the workspace mirrors the slab bit-for-bit
@@ -1262,36 +1372,21 @@ class VectorCodeGenerator:
                 "fused-mode members cannot feed a workspace view")
         out_plan = self.kernel.output_plan
         store_rank = len(self.kernel.output_dims) - 1
-        if out_plan.is_ragged:
-            try:
-                shapes = np.asarray(self.kernel.aux_arrays[out_plan.shape_name])
-            except KeyError:
-                raise VectorizeError(
-                    f"output {out_plan.spec.name!r} has no shape table for "
-                    "its workspace view")
-            if shapes.ndim != 2 or shapes.shape[1] != store_rank:
-                raise VectorizeError(
-                    f"output {out_plan.spec.name!r} shape table rank "
-                    f"{shapes.shape} does not match {store_rank} store axes")
-            return tuple(shapes[:, col] for col in range(store_rank))
-        dense = tuple(out_plan.layout.dense_shape()[1:])
-        if len(dense) != store_rank:
+        if len(out_plan.layout.dims) - 1 != store_rank:
             raise VectorizeError(
-                f"output {out_plan.spec.name!r} dense shape {dense} does "
-                f"not match {store_rank} store axes")
-        return tuple(np.asarray([int(n)], dtype=np.int64) for n in dense)
+                f"output {out_plan.spec.name!r} storage rank does not "
+                f"match {store_rank} store axes")
+        if out_plan.is_ragged:
+            return tuple((self._member, "shape", out_plan.shape_name, col)
+                         for col in range(store_rank))
+        return tuple((self._member, "dense", None, col + 1)
+                     for col in range(store_rank))
 
     # -- fused-mode gathers ------------------------------------------------------
 
-    def _fused_lengths(self) -> np.ndarray:
+    def _fused_lengths(self) -> Tuple:
         """Per-governing-index fused (loop-padded) lengths, from the maps."""
-        if self._fused_lengths_cache is None:
-            ffo = np.asarray(self.kernel.aux_arrays[f"{self.map_name}_ffo"])
-            row = np.asarray(self.kernel.aux_arrays[f"{self.map_name}_row"])
-            total = int(ffo.size)
-            self._fused_lengths_cache = np.diff(
-                np.concatenate([row, [total]])).astype(np.int64)
-        return self._fused_lengths_cache
+        return (self._member, "fused", self.map_name)
 
     def _access_info_fused(self, access: TensorAccess,
                            plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
@@ -1313,15 +1408,8 @@ class VectorCodeGenerator:
         return self._fused_gather_code(access, plan)
 
     def _check_fused_col_fits(self, plan: TensorPlan, col: int,
-                              needed: np.ndarray) -> bool:
-        if plan.is_ragged:
-            available = np.asarray(
-                self.kernel.aux_arrays[plan.shape_name][:, col],
-                dtype=np.int64)
-        else:
-            available = np.asarray([plan.layout.dense_shape()[col]],
-                                   dtype=np.int64)
-        return self._compare_fit(needed, available, plan, col)
+                              needed: Tuple) -> bool:
+        return self._compare_fit(needed, plan, col)
 
     def _fused_gather_code(self, access: TensorAccess,
                            plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
@@ -1393,9 +1481,8 @@ class VectorCodeGenerator:
                 parts.append(self._aligned_code(code, (self._stack_dim,),
                                                 octx_t))
             elif idx.dim is self.gov_dim:
-                m = int(self._fused_lengths().size)
                 self._check_fused_col_fits(
-                    plan, col, np.asarray([m], dtype=np.int64))
+                    plan, col, (self._member, "instances", self.map_name))
                 code = "_ffo" if stride_code == "1" \
                     else f"(_ffo * {stride_code})"
                 parts.append(self._aligned_code(code, (self._stack_dim,),
@@ -1427,39 +1514,36 @@ class VectorCodeGenerator:
         Returns whether the bound *equals* the extent at every governing
         index (the index sweeps the whole storage axis)."""
         if isinstance(idx, Const):
-            needed = np.asarray([int(idx.value) + 1], dtype=np.int64)
+            needed = (self._member, "const", int(idx.value) + 1)
         elif isinstance(idx, LoopVar) and idx.dim is not self.gov_dim:
             if self.mode == "fused" and idx.dim is self.inner_fused_dim:
                 needed = self._fused_lengths()
             else:
-                needed = self._vb_of(idx.dim).values(self.kernel)
+                needed = self._vb_of(idx.dim).ref(self._member)
         else:
             return False
-        if plan.is_ragged:
-            available = np.asarray(
-                self.kernel.aux_arrays[plan.shape_name][:, col],
-                dtype=np.int64)
-        else:
-            available = np.asarray([plan.layout.dense_shape()[col]],
-                                   dtype=np.int64)
-        return self._compare_fit(needed, available, plan, col)
+        return self._compare_fit(needed, plan, col)
 
-    @staticmethod
-    def _compare_fit(needed: np.ndarray, available: np.ndarray,
-                     plan: TensorPlan, col: int) -> bool:
-        comparable = needed.size == available.size \
-            or 1 in (needed.size, available.size)
-        if not comparable:
-            n = min(needed.size, available.size) or 1
-            needed, available = needed[:n], available[:n]
-        slack = available - needed
-        if slack.size and slack.min() < 0:
+    def _compare_fit(self, needed: Tuple, plan: TensorPlan, col: int) -> bool:
+        """Decide ``needed`` against storage axis ``col`` of ``plan``."""
+        if plan.is_ragged:
+            available = (self._member, "shape", plan.shape_name, col)
+            fixed = plan.layout.extents[col + 1].is_constant
+        else:
+            is_out = plan is self.kernel.output_plan
+            available = (self._member, "dense",
+                         None if is_out else plan.spec.name, col)
+            fixed = col > 0     # the leading extent may count instances
+        # Constant against constant: the structure key names both.
+        full = self._decide("fit", needed, available,
+                            record=not (fixed and needed[1] == "const"))
+        if full is None:
             raise VectorizeError(
                 f"loop bound exceeds the storage extent of "
                 f"{plan.spec.name!r} axis {col} (loop padding without "
                 "matching storage padding)"
             )
-        return comparable and not slack.any()
+        return full
 
     # -- alignment --------------------------------------------------------------
 
@@ -1529,7 +1613,8 @@ class VectorCodeGenerator:
         if alias is not None and alias.reuse is not None:
             em.emit(f"{out} = {alias.reuse}")
         elif alias is not None:
-            em.emit(f"{out} = _workspace(_ws, {alias.offset}, {shape}, _nb)")
+            em.emit(f"{out} = _workspace(_ws, _ws_offsets[{alias.region}], "
+                    f"{shape}, _nb)")
         elif out_plan.is_ragged:
             em.emit(f"{out} = _out_slices(_buf_{safe}, "
                     f"_aux_{self._safe(out_plan.row_name)}, {shapes}, _bs)")
@@ -1606,10 +1691,8 @@ class VectorCodeGenerator:
             return
         # Dense, unfused storage: two adjacent advanced indices land the
         # fused axis at position 0, matching the value's axis order.
-        m = int(self._fused_lengths().size)
-        full = [self._compare_fit(np.asarray([m], dtype=np.int64),
-                                  np.asarray([out_plan.layout.dense_shape()[0]],
-                                             dtype=np.int64), out_plan, 0),
+        full = [self._compare_fit((self._member, "instances", self.map_name),
+                                  out_plan, 0),
                 self._check_fused_col_fits(out_plan, 1, self._fused_lengths())]
         for col, dim in enumerate(rest_dims):
             full.append(self._check_index_fits(out_plan, col + 2, LoopVar(dim)))
@@ -1643,16 +1726,26 @@ class VectorBackend(CodegenBackend):
         self.fallback_reasons: Counter = Counter()
 
     def generate(self, kernel: LoweredKernel) -> GeneratedKernel:
+        decisions: Dict[Tuple, object] = {}
         try:
-            generated = VectorCodeGenerator(kernel).generate()
+            generated = VectorCodeGenerator(
+                kernel, decisions=decisions).generate()
         except VectorizeError as err:
-            self.fallback_count += 1
-            self.fallback_reasons[str(err)] += 1
-            generated = self.fallback.generate(kernel)
-            generated.fallback_reason = str(err)
-            return generated
-        self.vectorized_count += 1
+            # The fallback holds for the instances that repeat the
+            # decisions leading up to the rejection.
+            generated = replace(self.fallback.generate(kernel),
+                                fallback_reason=str(err),
+                                decisions=tuple(decisions.items()))
+        self.count(generated)
         return generated
+
+    def count(self, generated: GeneratedKernel) -> None:
+        """Account one kernel instance as vectorized or fallen back."""
+        if generated.fallback_reason is None:
+            self.vectorized_count += 1
+        else:
+            self.fallback_count += 1
+            self.fallback_reasons[generated.fallback_reason] += 1
 
     def reset_stats(self) -> None:
         """Zero the vectorized / fallback counters and reason map."""
@@ -1694,6 +1787,7 @@ class FusedMemberPlan:
 
 def generate_fused_kernel(name: str,
                           members: Sequence[FusedMemberPlan],
+                          decisions: Optional[Dict[Tuple, object]] = None,
                           ) -> GeneratedKernel:
     """Emit one vector kernel executing a whole fused region.
 
@@ -1713,17 +1807,22 @@ def generate_fused_kernel(name: str,
     executor falls back to the bit-identical grouped dispatch): every
     member vectorizes in bucketed-loop mode over the *same* governing
     extent, and every alias read stays within its producer's store
-    bounds (checked per governing index at compile time).
+    bounds (checked per governing index at compile time).  Those checks
+    land in ``decisions`` (also when emission is rejected): the verdict
+    holds for every instance that repeats them.
     """
     if not members:
         raise VectorizeError("fused region has no members")
+    kernels = [m.kernel for m in members]
+    if decisions is None:
+        decisions = {}
     last_reader = {value: i for i, m in enumerate(members)
                    for value in m.bindings.values()}
     gens: List[VectorCodeGenerator] = []
     alias_reg: Dict[str, _AliasSource] = {}
-    #: (generator, per-governing-index slice size) of every internal
-    #: value that needs a workspace region of its own
-    regions: List[Tuple[VectorCodeGenerator, np.ndarray]] = []
+    #: store-extent references of every internal value that needs a
+    #: workspace region of its own
+    regions: List[Tuple[Tuple, ...]] = []
     for i, m in enumerate(members):
         alias = {}
         for tensor, value in m.bindings.items():
@@ -1737,10 +1836,14 @@ def generate_fused_kernel(name: str,
             value_of={**m.bindings, out_tensor: m.out_value},
             aux_ns=f"m{i}/",
             alias=alias,
+            kernels=kernels, member=i, decisions=decisions,
         )
         if gen.mode != "loop":
             raise VectorizeError(
                 f"member {m.kernel.name!r} uses a fused governing loop")
+        if not gen._decide("same", (i, "count"), (0, "count")):
+            raise VectorizeError(
+                "fused members disagree on the governing extent")
         gens.append(gen)
         if not m.internal:
             continue
@@ -1751,39 +1854,14 @@ def generate_fused_kernel(name: str,
              if last_reader[m.bindings[tensor]] == i
              and bound.count(m.bindings[tensor]) == 1
              and len(src.tables) == len(tables)
-             and all(np.array_equal(a, b)
+             and all(gen._decide("same", a, b)
                      for a, b in zip(src.tables, tables))
              and gen.inplace_safe(tensor)), None)
-        gen._alias_out = _AliasOut(var=f"_t{i}", reuse=reuse)
+        gen._alias_out = _AliasOut(var=f"_t{i}", region=len(regions),
+                                   reuse=reuse)
         if reuse is None:
-            size = np.ones(1, dtype=np.int64)
-            for table in tables:
-                size = size * table
-            regions.append((gen, size))
+            regions.append(tables)
         alias_reg[m.out_value] = _AliasSource(var=f"_t{i}", tables=tables)
-    gov_count = gens[0].gov_count
-    for gen in gens[1:]:
-        if gen.gov_count != gov_count:
-            raise VectorizeError(
-                "fused members disagree on the governing extent")
-    # One shared bucket partition: the union of every member's signature
-    # tables, so each member's per-bucket bound reads stay constant.
-    arrays: List[np.ndarray] = []
-    for gen in gens:
-        arrays.extend(gen.kernel.aux_arrays[n]
-                      for n in gen._signature_tables())
-    buckets = bucket_by_signature(gov_count, arrays)
-    for gen in gens:
-        gen._buckets_cache = buckets
-    # Workspace layout: one region per (non-reusing) internal value,
-    # each sized for the bucket that needs the most of it.
-    firsts = np.asarray([int(b[0]) for b in buckets], dtype=np.int64)
-    counts = np.asarray([b.size for b in buckets], dtype=np.int64)
-    workspace = 0
-    for gen, size in regions:
-        gen._alias_out.offset = workspace
-        per_bucket = counts * (size[firsts] if size.size > 1 else size)
-        workspace += int(per_bucket.max()) if per_bucket.size else 0
 
     em = _Emitter()
     fn_name = f"cora_vfused_{VectorCodeGenerator._sanitize(name)}"
@@ -1794,8 +1872,9 @@ def generate_fused_kernel(name: str,
     accessed = [gen._accessed_tensors() for gen in gens]
     for gen, acc in zip(gens, accessed):
         gen.emit_prolog(em, acc)
-    if workspace:
+    if regions:
         em.emit("_ws = buffers['ws']")
+        em.emit("_ws_offsets = aux['ws_offsets']")
     em.emit("# one iteration per bucket shared by all members")
     _emit_bucket_loop(em)
     for gen, acc in zip(gens, accessed):
@@ -1805,8 +1884,13 @@ def generate_fused_kernel(name: str,
     em.pop()
     source = em.source()
     namespace = dict(KERNEL_NAMESPACE)
-    namespace["_BUCKETS"] = buckets
-    exec(compile_kernel_source(source, f"<cora-vfused:{name}>"), namespace)
+    exec(compile(source, f"<cora-vfused:{name}>", "exec"), namespace)
+    # One shared bucket partition: the union of every member's signature
+    # tables, so each member's per-bucket bound reads stay constant.
+    tables = tuple((i, n) for i, gen in enumerate(gens)
+                   for n in gen._signature_tables())
     return GeneratedKernel(name=name, source=source,
                            fn=namespace[fn_name], backend="vector",
-                           fills_output=True, workspace_elements=workspace)
+                           fills_output=True,
+                           decisions=tuple(decisions.items()),
+                           prelude=(tables, tuple(regions)))

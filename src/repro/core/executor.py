@@ -14,11 +14,18 @@ The executor glues the pipeline of paper Figure 4 together:
    execution would have needed, and (if a simulated device is attached)
    the modelled device latency.
 
-Compilation is cached: a :class:`CompiledKernel` is keyed by the
-(operator, schedule state, input-layout signature) triple, so repeated
-``build_and_run`` calls with an unchanged schedule skip re-lowering and
-re-``exec`` entirely.  ``Executor.lower_count`` / ``cache_hits`` /
-``cache_misses`` expose the cache behaviour to benchmarks and tests.
+Compilation is cached at two levels.  A :class:`CompiledKernel` -- one
+kernel *instance*: the lowered tables of one raggedness signature bound to
+a generated kernel -- is keyed per executor by the identity of the
+(operator, schedule state, input layouts) triple, so repeated
+``build_and_run`` calls with an unchanged schedule skip everything.  The
+generated kernel itself is looked up by its length-free *structure* in a
+process-wide table (:func:`repro.core.codegen.structure_kernel`): a
+never-seen signature of a known structure only pays the prelude --
+lowering its tables, re-checking the emitter's recorded decisions and
+bucketing its instances.  ``Executor.lower_count`` / ``cache_hits`` /
+``cache_misses`` and ``structures_generated`` / ``structure_hits`` /
+``prelude_builds`` expose both levels to benchmarks and tests.
 """
 
 from __future__ import annotations
@@ -26,21 +33,33 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.aotcache import AOTCache, Uncacheable, kernel_cache_key
+from repro.core.aotcache import (
+    AOTCache,
+    Uncacheable,
+    disk_key,
+    stable_schedule_fingerprint,
+)
 from repro.core.cache import LRUDict
-from repro.core.codegen import CodegenBackend, GeneratedKernel, get_backend
+from repro.core.codegen import (
+    CodegenBackend,
+    GeneratedKernel,
+    get_backend,
+    remember_structure,
+    structure_kernel,
+)
 from repro.core.codegen_vector import (
     FusedMemberPlan,
     VectorizeError,
+    bind_prelude,
+    decisions_hold,
     generate_fused_kernel,
 )
 from repro.core.errors import ExecutionError
-from repro.core.extents import ConstExtent, Extent, PaddedExtent, VarExtent
 from repro.core.ir import count_flops, reductions_in
 from repro.core.lowering import LoweredKernel, lower_schedule
 from repro.core.ragged_tensor import RaggedTensor
@@ -76,6 +95,9 @@ class CompiledKernel:
 
     lowered: LoweredKernel
     generated: GeneratedKernel
+    #: the kernel's ``(backend, fingerprint)`` structure (``None``: not
+    #: content-addressable)
+    structure: Optional[Tuple] = None
     _flops: Optional[int] = field(default=None, repr=False)
     _dense_flops: Optional[int] = field(default=None, repr=False)
 
@@ -287,44 +309,17 @@ def estimate_dense_flops(lowered: LoweredKernel) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _extent_signature(ext: Extent) -> Tuple:
-    if isinstance(ext, PaddedExtent):
-        return ("pad", ext.multiple, _extent_signature(ext.base))
-    if isinstance(ext, ConstExtent):
-        return ("const", ext.value)
-    if isinstance(ext, VarExtent):
-        if ext.table is not None:
-            return ("table", ext.dep.uid, ext.table.tobytes())
-        return ("fn", ext.dep.uid, id(ext._fn))
-    return ("extent", id(ext))
-
-
-def _layout_signature(layout: RaggedLayout) -> Tuple:
-    return (
-        tuple(d.uid for d in layout.dims),
-        tuple(_extent_signature(e) for e in layout.base_extents),
-        tuple(sorted((d.uid, p) for d, p in layout.storage_padding.items())),
-    )
-
-
 def schedule_signature(
     schedule: Schedule,
     input_layouts: Optional[Dict[str, RaggedLayout]] = None,
 ) -> Tuple:
-    """A hashable key capturing everything lowering depends on.
+    """A hashable key identifying one kernel instance within a process.
 
-    Covers the operator identity and its (possibly table-backed) extents --
-    the *input-layout signature*, since the raggedness pattern is embedded
-    in the extents -- plus the full mutable schedule state, so mutating and
-    re-compiling a schedule cannot produce a stale cache hit.
+    The operator and the input layouts -- which embed the raggedness
+    pattern and never change once built -- count by identity (the cache
+    entry pins them), the mutable schedule state by value, so mutating
+    and re-compiling a schedule cannot produce a stale cache hit.
     """
-    op = schedule.operator
-    op_sig = (
-        id(op),
-        tuple(d.uid for d in op.dims),
-        tuple(_extent_signature(e) for e in op.loop_extents),
-        tuple(_extent_signature(e) for e in op.storage_extents),
-    )
     sched_sig = (
         tuple(sorted((d.uid, p) for d, p in schedule.loop_padding.items())),
         tuple(sorted((d.uid, p) for d, p in schedule.storage_padding.items())),
@@ -343,10 +338,9 @@ def schedule_signature(
         schedule.hoist_loads,
     )
     layouts_sig = tuple(sorted(
-        (name, _layout_signature(layout))
-        for name, layout in (input_layouts or {}).items()
+        (name, id(layout)) for name, layout in (input_layouts or {}).items()
     ))
-    return (op_sig, sched_sig, layouts_sig)
+    return (id(schedule.operator), sched_sig, layouts_sig)
 
 
 class Executor:
@@ -372,9 +366,14 @@ class Executor:
     Attributes
     ----------
     lower_count:
-        Number of actual lower+generate passes performed (cache misses).
+        Kernel instances this executor had to build itself (cache misses
+        the disk tier did not cover).
     cache_hits / cache_misses:
         Kernel-cache statistics.
+    prelude_builds / structure_hits / structures_generated:
+        Instances built (``lower_count`` plus disk hits); how many of them
+        found their kernel in the process-wide table; how many kernels
+        this executor generated.
     """
 
     def __init__(self, device: Optional[object] = None,
@@ -407,6 +406,9 @@ class Executor:
         self.lower_count = 0
         self.cache_hits = 0
         self.cache_misses = 0
+        self.prelude_builds = 0
+        self.structure_hits = 0
+        self.structures_generated = 0
         #: kernels rebuilt from / persisted to the AOT disk cache
         self.disk_hits = 0
         self.disk_stores = 0
@@ -434,7 +436,7 @@ class Executor:
         """
         with self._lock:
             if not self.cache_enabled:
-                return self._compile_or_load(schedule, input_layouts)
+                return self._instantiate(schedule, input_layouts)
             key = (self.backend.name,
                    schedule_signature(schedule, input_layouts))
             entry = self._kernel_cache.get(key)
@@ -442,48 +444,69 @@ class Executor:
                 self.cache_hits += 1
                 return entry[0]
             self.cache_misses += 1
-            compiled = self._compile_or_load(schedule, input_layouts)
+            compiled = self._instantiate(schedule, input_layouts)
             self._kernel_cache.put(key, (compiled, schedule, input_layouts))
             return compiled
 
-    def _compile_or_load(
+    def _instantiate(
         self,
         schedule: Schedule,
         input_layouts: Optional[Dict[str, RaggedLayout]] = None,
     ) -> CompiledKernel:
-        """The disk tier between the in-memory LRU and a real compile.
-
-        A disk hit rebuilds the kernel without touching ``lower_count``
-        -- that counter means "lowering passes actually performed", and
-        the zero-lowerings-on-warm-start guarantee is asserted on it.
-        Uncacheable schedules (callable-backed extents / remap policies)
-        skip the tier entirely.
-        """
-        if self.disk_cache is None:
-            return self._compile_uncached(schedule, input_layouts)
-        try:
-            key = kernel_cache_key(schedule, input_layouts, self.backend.name)
-        except Uncacheable:
-            return self._compile_uncached(schedule, input_layouts)
-        loaded = self.disk_cache.load(key)
-        if loaded is not None:
-            lowered, generated = loaded
-            self.disk_hits += 1
-            return CompiledKernel(lowered=lowered, generated=generated)
-        compiled = self._compile_uncached(schedule, input_layouts)
-        if self.disk_cache.store(key, compiled.lowered, compiled.generated):
-            self.disk_stores += 1
-        return compiled
-
-    def _compile_uncached(
-        self,
-        schedule: Schedule,
-        input_layouts: Optional[Dict[str, RaggedLayout]] = None,
-    ) -> CompiledKernel:
-        self.lower_count += 1
+        """Build one kernel instance: lower its tables (the prelude) and
+        bind them to the kernel of its structure."""
         lowered = lower_schedule(schedule, input_layouts=input_layouts)
-        generated = self.backend.generate(lowered)
-        return CompiledKernel(lowered=lowered, generated=generated)
+        try:
+            key = (self.backend.name,
+                   stable_schedule_fingerprint(schedule, input_layouts))
+        except Uncacheable:
+            key = None
+        disk = self.disk_cache if key is not None else None
+        on_disk = disk_key(key) if disk is not None else None
+
+        def holds(decisions: Tuple) -> bool:
+            return decisions_hold(decisions, [lowered])
+
+        # A disk hit leaves ``lower_count`` alone -- the zero-lowerings-
+        # on-warm-start guarantee is asserted on it.
+        self.prelude_builds += 1
+        generated = disk.load(on_disk, holds) if disk is not None else None
+        if generated is not None:
+            self.disk_hits += 1
+        else:
+            self.lower_count += 1
+            generated = self._shared_kernel(
+                key, holds, lambda: self.backend.generate(lowered))
+            if disk is not None and disk.store(on_disk, generated):
+                self.disk_stores += 1
+        extra, _ = bind_prelude(generated, [lowered])
+        lowered.aux_arrays.update(extra)
+        return CompiledKernel(lowered=lowered, generated=generated,
+                              structure=key)
+
+    def _shared_kernel(self, key: Optional[object],
+                       holds: Callable[[Tuple], bool],
+                       generate: Callable[[], GeneratedKernel],
+                       ) -> GeneratedKernel:
+        """The kernel of structure ``key`` from the process-wide table --
+        the one whose recorded decisions the instance repeats -- else
+        ``generate`` it and remember it there.  Structures without a key
+        (callable-backed extents / remap policies) are generated per
+        instance."""
+        generated = structure_kernel(key, holds) if key is not None else None
+        if generated is not None:
+            self.structure_hits += 1
+            # Account the reuse like a generation: the backend's
+            # vectorized / fallback counters describe instances.
+            count = getattr(self.backend, "count", None)
+            if count is not None and generated.backend != "grouped":
+                count(generated)
+            return generated
+        self.structures_generated += 1
+        generated = generate()
+        if key is not None:
+            remember_structure(key, generated)
+        return generated
 
     # -- fused regions ---------------------------------------------------------
 
@@ -526,7 +549,9 @@ class Executor:
         disk tier as usual); the region is then emitted as one vector
         kernel, or -- when any member resists vector emission or an
         alias read would leave its producer's store bounds -- wrapped in
-        the bit-identical grouped dispatch.  Neither path performs any
+        the bit-identical grouped dispatch.  Either verdict is shared,
+        like a kernel's, by every region of the same structure that
+        repeats the emitter's decisions.  Neither path performs any
         extra lowering, so fused compilation never increments
         ``lower_count`` beyond its members.
         """
@@ -557,7 +582,42 @@ class Executor:
             )
             for m, compiled in zip(node.members, members)
         ]
-        reason: Optional[str] = None
+        lowered = [compiled.lowered for compiled in members]
+        key = None
+        if all(compiled.structure is not None for compiled in members):
+            key = ("fused", tuple(
+                (compiled.structure, compiled.backend_name,
+                 tuple(sorted(plan.bindings.items())), plan.out_value,
+                 plan.internal)
+                for plan, compiled in zip(plans, members)))
+        generated = self._shared_kernel(
+            key, lambda decisions: decisions_hold(decisions, lowered),
+            lambda: self._generate_fused(node.name, plans, members))
+        reason = generated.fallback_reason
+        if reason is None:
+            self.fused_emitted += 1
+        else:
+            self.fused_fallbacks += 1
+            self.fused_fallback_reasons[reason] += 1
+            generated = replace(generated,
+                                fn=_GroupedFusedKernel(plans, members))
+        aux: Dict[str, object] = {}
+        for i, compiled in enumerate(members):
+            for k, v in compiled.lowered.aux_arrays.items():
+                aux[f"m{i}/{k}"] = v
+        extra, workspace = bind_prelude(generated, lowered)
+        aux.update(extra)
+        if workspace:
+            generated = replace(generated, workspace_elements=workspace)
+        return CompiledFusedKernel(
+            node=node, members=members, generated=generated,
+            aux_arrays=aux, fused=reason is None, fallback_reason=reason)
+
+    def _generate_fused(self, name: str, plans: List[FusedMemberPlan],
+                        members: List[CompiledKernel]) -> GeneratedKernel:
+        """Emit a fused region's kernel, or -- recording why, and under
+        which decisions -- the marker of its grouped dispatch."""
+        decisions: Dict[Tuple, object] = {}
         try:
             if self.backend.name != "vector":
                 raise VectorizeError(
@@ -567,25 +627,13 @@ class Executor:
                     raise VectorizeError(
                         f"member {compiled.lowered.name!r} fell back to "
                         f"scalar: {compiled.fallback_reason}")
-            generated = generate_fused_kernel(node.name, plans)
-            self.fused_emitted += 1
+            return generate_fused_kernel(name, plans, decisions)
         except VectorizeError as err:
-            reason = str(err)
-            self.fused_fallbacks += 1
-            self.fused_fallback_reasons[reason] += 1
-            generated = GeneratedKernel(
-                name=node.name,
-                source=f"# grouped fused dispatch (fallback: {reason})",
-                fn=_GroupedFusedKernel(plans, members),
-                backend="grouped",
-                fallback_reason=reason)
-        aux: Dict[str, np.ndarray] = {}
-        for i, compiled in enumerate(members):
-            for k, v in compiled.lowered.aux_arrays.items():
-                aux[f"m{i}/{k}"] = v
-        return CompiledFusedKernel(
-            node=node, members=members, generated=generated,
-            aux_arrays=aux, fused=reason is None, fallback_reason=reason)
+            return GeneratedKernel(
+                name=name,
+                source=f"# grouped fused dispatch (fallback: {err})",
+                fn=None, backend="grouped", fallback_reason=str(err),
+                decisions=tuple(decisions.items()))
 
     def clear_cache(self) -> None:
         """Drop all cached kernels (counters are left untouched)."""
@@ -600,6 +648,9 @@ class Executor:
             self.lower_count = 0
             self.cache_hits = 0
             self.cache_misses = 0
+            self.prelude_builds = 0
+            self.structure_hits = 0
+            self.structures_generated = 0
             self.disk_hits = 0
             self.disk_stores = 0
             self.fused_regions = 0
@@ -644,6 +695,9 @@ class Executor:
             "lower_count": self.lower_count,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "prelude_builds": self.prelude_builds,
+            "structure_hits": self.structure_hits,
+            "structures_generated": self.structures_generated,
             "vectorized": self.vectorized_count,
             "fallbacks": self.fallback_count,
             "fallback_reasons": dict(

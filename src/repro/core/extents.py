@@ -148,6 +148,10 @@ class VarExtent(Extent):
         self.dep = dep
         self.deps = (dep,)
         self.name = name
+        #: per-batch arrays derived from this length function (storage
+        #: offsets of the layouts built on it), shared by every layout and
+        #: kernel of the mini-batch; lives and dies with the extent
+        self.prelude: dict = {}
         if callable(fn):
             self._fn: Callable[[IndexLike], IndexLike] = fn
             self._table: Optional[np.ndarray] = None
@@ -197,6 +201,7 @@ class VarExtent(Extent):
         self.dep = state["dep"]
         self.deps = (self.dep,)
         self.name = state["name"]
+        self.prelude = {}
         table = state["table"]
         self._table = table
         self._fn = lambda i: table[i]

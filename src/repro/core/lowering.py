@@ -46,7 +46,13 @@ from repro.core.storage import RaggedLayout
 
 @dataclass
 class BoundSpec:
-    """A concrete loop bound: either a constant or a per-governing-index table."""
+    """A concrete loop bound: either a constant or a per-governing-index table.
+
+    A constant that counts *instances* (the governing extent, its tiles,
+    a fused extent) is part of the prelude, not of the kernel structure:
+    it carries the name of the 0-d aux entry holding it, and emitters
+    read it from there instead of naming the value.
+    """
 
     kind: str  # "const" | "table"
     value: int = 0
@@ -54,8 +60,8 @@ class BoundSpec:
     governing: Optional[Dim] = None
 
     @classmethod
-    def const(cls, value: int) -> "BoundSpec":
-        return cls(kind="const", value=int(value))
+    def const(cls, value: int, table_name: str = "") -> "BoundSpec":
+        return cls(kind="const", value=int(value), table_name=table_name)
 
     @classmethod
     def table(cls, name: str, governing: Dim) -> "BoundSpec":
@@ -228,6 +234,13 @@ def lower_schedule(
         aux[name] = np.asarray(table, dtype=np.int64)
         return name
 
+    def count_bound(dim: Dim, name: str, value: int) -> BoundSpec:
+        """A constant bound; one derived from the governing extent (the
+        instance count) is also published in ``aux`` under ``name``."""
+        if dim is op.dims[0]:
+            return BoundSpec.const(value, register_table(name, value))
+        return BoundSpec.const(value)
+
     # ---- build loop specs -------------------------------------------------
     loops: List[LoopSpec] = []
     dim_recovery: Dict[Dim, Tuple] = {}
@@ -258,7 +271,8 @@ def lower_schedule(
             register_table(f"{map_name}_ffo", maps.ffo)
             register_table(f"{map_name}_ffi", maps.ffi)
             register_table(f"{map_name}_row", maps.foif_row)
-            bound = BoundSpec.const(maps.fused_extent)
+            bound = BoundSpec.const(maps.fused_extent, register_table(
+                f"{map_name}_extent", maps.fused_extent))
             spec = LoopSpec(
                 dim=dim, var=var_of(dim), bound=bound, kind=LoopKind.FUSED,
                 annotation=ann,
@@ -276,7 +290,8 @@ def lower_schedule(
             orig_ext = padded_loop_extent(split.original)
             kind_, value, governing = materialise_extent(orig_ext, gov_count)
             if kind_ == "const":
-                bound = BoundSpec.const((value + split.factor - 1) // split.factor)
+                bound = count_bound(split.original, f"tiles_{split.original.name}",
+                                    (value + split.factor - 1) // split.factor)
                 loop_kind = LoopKind.CONSTANT
             else:
                 tiles = (value + split.factor - 1) // split.factor
@@ -301,13 +316,15 @@ def lower_schedule(
             pad = schedule.loop_padding.get(split.original, 1)
             kind_, value, governing = materialise_extent(orig_ext, gov_count)
             needs_guard = True
-            if kind_ == "const" and value % split.factor == 0:
+            if (kind_ == "const" and value % split.factor == 0
+                    and split.original is not op.dims[0]):
                 needs_guard = False
             if pad % split.factor == 0 and pad >= split.factor:
                 needs_guard = False
             if needs_guard:
                 if kind_ == "const":
-                    guard_bound = BoundSpec.const(value)
+                    guard_bound = count_bound(
+                        split.original, f"count_{split.original.name}", value)
                 else:
                     name = register_table(f"len_{split.original.name}", value)
                     guard_bound = BoundSpec.table(name, governing)
@@ -331,7 +348,7 @@ def lower_schedule(
         ext = padded_loop_extent(dim)
         kind_, value, governing = materialise_extent(ext, gov_count)
         if kind_ == "const":
-            bound = BoundSpec.const(value)
+            bound = count_bound(dim, f"count_{dim.name}", value)
             loop_kind = LoopKind.CONSTANT
         else:
             name = register_table(f"len_{dim.name}", value)

@@ -148,6 +148,13 @@ def bucket_by_signature(count: int,
         return [idx]
     cols = [np.asarray(a)[:count].reshape(count, -1) for a in arrays]
     sig = np.concatenate(cols, axis=1)
+    if count <= 256:
+        # A mini-batch: hashing the rows beats sorting them (this runs
+        # once per kernel instance, in the per-batch prelude).
+        groups: Dict[Tuple[int, ...], List[int]] = {}
+        for i, row in enumerate(sig.tolist()):
+            groups.setdefault(tuple(row), []).append(i)
+        return [np.asarray(g, dtype=np.int64) for g in groups.values()]
     # Stable sort by signature rows, then cut at row changes.
     order = np.lexsort(sig.T[::-1])
     sorted_sig = sig[order]

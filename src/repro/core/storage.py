@@ -115,10 +115,20 @@ class RaggedLayout:
             ext.padded(self.storage_padding.get(d, 1))
             for d, ext in zip(self.dims, raw_extents)
         )
-        self.dgraph = DimensionGraph.from_layout(self.dims, self.extents)
-        self._is_ragged = bool(self.dgraph.vdims())
-        self._validate_prototype_restriction()
+        self._is_ragged = any(not e.is_constant for e in self.extents)
+        outer = self.dims[0] if self.dims else None
+        if not (self.dims and self.extents[0].is_constant and all(
+                e.is_constant or e.deps == (outer,) for e in self.extents)):
+            # Not the common, valid-by-construction shape (a cdim governing
+            # every vdim): let the dimension graph name the violation.
+            DimensionGraph.from_layout(self.dims, self.extents)
+            self._validate_prototype_restriction()
         self._aux: Optional[LayoutAux] = None
+
+    @property
+    def dgraph(self) -> DimensionGraph:
+        """The dependence graph between the layout's dimensions."""
+        return DimensionGraph(dims=self.dims, extents=self.extents)
 
     # -- construction helpers ------------------------------------------------
 
@@ -229,6 +239,26 @@ class RaggedLayout:
         """
         if self._aux is not None and not force:
             return self._aux
+        # Offsets depend on the extents alone: layouts built on the same
+        # length function (a mini-batch's tensors, across operators and
+        # layers) share one set through the extent's prelude.
+        memo, key = None, []
+        for ext in self.extents:
+            mult, base = (ext.multiple, ext.base) \
+                if isinstance(ext, PaddedExtent) else (1, ext)
+            if isinstance(base, ConstExtent):
+                key.append((mult, base.value))
+            elif isinstance(base, VarExtent) and (
+                    memo is None or memo is base.prelude):
+                memo = base.prelude
+                key.append((mult, None))
+            else:
+                memo = None
+                break
+        key = ("layout", *key)
+        if memo is not None and not force and key in memo:
+            self._aux = memo[key]
+            return self._aux
         m = self.governing_extent()
         batch_idx = np.arange(m, dtype=np.int64)
         # Per-governing-index shape of the inner sub-tensor.
@@ -254,6 +284,8 @@ class RaggedLayout:
             slice_strides=strides,
             total_size=int(row_offsets[-1]),
         )
+        if memo is not None:
+            memo[key] = self._aux
         return self._aux
 
     # -- access lowering -------------------------------------------------------

@@ -16,7 +16,6 @@ provides:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,11 +32,16 @@ from repro.core.tunespace import (
     TunePoint,
     TuneSpace,
     applied_point,
-    register_schedule_memo,
     register_tune_op,
 )
 from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
-from repro.ops.softmax import softmax_compiled, softmax_slices
+from repro.ops.softmax import (
+    attention_scores_layout,
+    batch_lengths,
+    shared,
+    softmax_compiled,
+    softmax_slices,
+)
 from repro.substrates.costmodel import KernelLaunch, Workload, gemm_flops
 
 
@@ -141,50 +145,62 @@ def random_qkv(lengths: Sequence[int], config: TransformerConfig = PAPER_BASE_CO
 # ---------------------------------------------------------------------------
 
 
-def _qkv_layout(lengths: np.ndarray, heads: int, head_size: int) -> RaggedLayout:
-    """Layout of a per-sequence ``[batch, heads, s(b), head_size]`` tensor
-    (one immutable object per distinct argument set)."""
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    return _qkv_layout_memo(lens.tobytes(), int(heads), int(head_size))
+def _qkv_layout(lengths: Sequence[int], heads: int, head_size: int,
+                program: Optional["Program"] = None) -> RaggedLayout:
+    """Layout of a per-sequence ``[batch, heads, s(b), head_size]`` tensor."""
+    lens, batch, seq = batch_lengths(lengths, program)
+    return shared(
+        program, ("qkv-layout", id(seq), int(heads), int(head_size)),
+        lambda: RaggedLayout(
+            [batch, Dim("head"), Dim("seq"), Dim("hd")],
+            [ConstExtent(lens.size), ConstExtent(heads), seq,
+             ConstExtent(head_size)]))
 
 
-@lru_cache(maxsize=64)
-def _qkv_layout_memo(lens_bytes: bytes, heads: int,
-                     head_size: int) -> RaggedLayout:
-    lengths = np.frombuffer(lens_bytes, dtype=np.int64)
-    batch = Dim("batch")
-    return RaggedLayout(
-        [batch, Dim("head"), Dim("seq"), Dim("hd")],
-        [ConstExtent(lengths.size), ConstExtent(heads),
-         VarExtent(batch, lengths), ConstExtent(head_size)])
+def _qkt_schedule(lengths: Sequence[int], heads: int, head_size: int,
+                  scale: Optional[float], tile: int = 0, remap: bool = False,
+                  program: Optional["Program"] = None) -> Schedule:
+    """The QK^T schedule (one object per program -> kernel-cache hits in
+    every layer).  A non-zero ``tile`` splits the query-row vloop (guarded
+    tail tile) and ``remap`` adds a sort-descending thread remap on the
+    governing loop -- the knobs the Figure 14 AttnV variants expose, made
+    tunable."""
+    lens, batch, seq = batch_lengths(lengths, program)
+
+    def build() -> Schedule:
+        bsz = int(lens.size)
+        head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
+        q_in = input_tensor("Q", [batch, Dim("qh"), Dim("qs"), Dim("qd")],
+                            [ConstExtent(bsz), ConstExtent(heads), seq,
+                             ConstExtent(head_size)])
+        k_in = input_tensor("K", [batch, Dim("kh"), Dim("ks"), Dim("kd")],
+                            [ConstExtent(bsz), ConstExtent(heads), seq,
+                             ConstExtent(head_size)])
+        dax = reduce_axis(head_size, "d")
+
+        def body(b, h, i, j):
+            scores = sum_reduce(
+                q_in[b, h, i, LoopVar(dax.dim)]
+                * k_in[b, h, j, LoopVar(dax.dim)], dax)
+            return scores * float(scale) if scale is not None else scores
+
+        op = compute("QKT", [batch, head, qi, kj],
+                     [ConstExtent(bsz), ConstExtent(heads), seq, seq], body)
+        return _split_rows(Schedule(op), tile, remap)
+
+    return shared(program, ("qkt", id(seq), heads, head_size, scale,
+                            int(tile), bool(remap)), build)
 
 
-@lru_cache(maxsize=64)
-def _qkt_schedule(lens_bytes: bytes, heads: int, head_size: int,
-                  scale: Optional[float]) -> Schedule:
-    """Memoized QK^T schedule (same object per problem -> kernel-cache hits)."""
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    bsz = int(lens.size)
-    batch, head, qi, kj = Dim("batch"), Dim("head"), Dim("qi"), Dim("kj")
-    q_in = input_tensor("Q", [batch, Dim("qh"), Dim("qs"), Dim("qd")],
-                        [ConstExtent(bsz), ConstExtent(heads),
-                         VarExtent(batch, lens), ConstExtent(head_size)])
-    k_in = input_tensor("K", [batch, Dim("kh"), Dim("ks"), Dim("kd")],
-                        [ConstExtent(bsz), ConstExtent(heads),
-                         VarExtent(batch, lens), ConstExtent(head_size)])
-    dax = reduce_axis(head_size, "d")
-
-    def body(b, h, i, j):
-        scores = sum_reduce(
-            q_in[b, h, i, LoopVar(dax.dim)] * k_in[b, h, j, LoopVar(dax.dim)],
-            dax)
-        return scores * float(scale) if scale is not None else scores
-
-    op = compute("QKT", [batch, head, qi, kj],
-                 [ConstExtent(bsz), ConstExtent(heads),
-                  VarExtent(batch, lens), VarExtent(batch, lens)],
-                 body)
-    return Schedule(op)
+def _split_rows(schedule: Schedule, tile: int, remap: bool) -> Schedule:
+    """Apply the tunable row split / thread remap of the attention gemms."""
+    if tile:
+        op = schedule.operator
+        schedule.split(op.dims[2], int(tile))
+        if remap:
+            schedule.parallel(op.dims[0])
+            schedule.thread_remap(op.dims[0], "sort_desc")
+    return schedule
 
 
 def qkt_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
@@ -204,7 +220,7 @@ def qkt_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
     lens = np.ascontiguousarray([x.shape[1] for x in q], dtype=np.int64)
     heads, head_size = int(q[0].shape[0]), int(q[0].shape[2])
     bsz = int(lens.size)
-    schedule = _qkt_schedule(lens.tobytes(), heads, head_size,
+    schedule = _qkt_schedule(lens, heads, head_size,
                              None if scale is None else float(scale))
     layout = _qkv_layout(lens, heads, head_size)
     inputs = {"Q": RaggedTensor.from_slices(layout, list(q)),
@@ -213,54 +229,41 @@ def qkt_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
     return [out.valid_slice(b) for b in range(bsz)], report
 
 
-@lru_cache(maxsize=64)
-def _qkt_split_schedule(lens_bytes: bytes, heads: int, head_size: int,
-                        scale: Optional[float], tile: int,
-                        remap: bool) -> Schedule:
-    """QK^T with the query-row vloop split by ``tile`` (guarded tail tile)
-    and optionally a sort-descending thread remap on the governing loop --
-    the same knobs the Figure 14 AttnV variants expose, made tunable."""
-    schedule = _qkt_schedule(lens_bytes, heads, head_size, scale)
-    op = schedule.operator
-    # Schedules are memoized; never mutate the shared unsplit instance.
-    schedule = Schedule(op)
-    qi = op.dims[2]
-    schedule.split(qi, int(tile))
-    if remap:
-        batch = op.dims[0]
-        schedule.parallel(batch)
-        schedule.thread_remap(batch, "sort_desc")
-    return schedule
+def _attnv_schedule(lengths: Sequence[int], heads: int, head_size: int,
+                    tile: int = 0, remap: bool = False,
+                    program: Optional["Program"] = None) -> Schedule:
+    """The AttnV schedule (one object per program); with ``tile`` the
+    Figure 14 "Split" schedule: the query-row vloop is split by the tile
+    size, producing a guarded inner loop for the partial tail tile (no
+    loop padding), and with ``remap`` the governing loop additionally
+    carries a sort-descending thread remap (heaviest sequences first)."""
+    lens, batch, seq = batch_lengths(lengths, program)
 
+    def build() -> Schedule:
+        bsz = int(lens.size)
+        head, qi, hd = Dim("head"), Dim("qi"), Dim("hd")
+        a_in = input_tensor("Attn", [batch, Dim("ah"), Dim("ai"), Dim("aj")],
+                            [ConstExtent(bsz), ConstExtent(heads), seq, seq])
+        v_in = input_tensor("V", [batch, Dim("vh"), Dim("vs"), Dim("vd")],
+                            [ConstExtent(bsz), ConstExtent(heads), seq,
+                             ConstExtent(head_size)])
+        jax = reduce_axis(seq, "j")
+        op = compute("AttnV", [batch, head, qi, hd],
+                     [ConstExtent(bsz), ConstExtent(heads), seq,
+                      ConstExtent(head_size)],
+                     lambda b, h, i, d: sum_reduce(
+                         a_in[b, h, i, LoopVar(jax.dim)]
+                         * v_in[b, h, LoopVar(jax.dim), d], jax))
+        return _split_rows(Schedule(op), tile, remap)
 
-@lru_cache(maxsize=64)
-def _attnv_schedule(lens_bytes: bytes, heads: int, head_size: int) -> Schedule:
-    """Memoized AttnV schedule (same object per problem -> kernel-cache hits)."""
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    bsz = int(lens.size)
-    batch, head, qi, hd = Dim("batch"), Dim("head"), Dim("qi"), Dim("hd")
-    a_in = input_tensor("Attn", [batch, Dim("ah"), Dim("ai"), Dim("aj")],
-                        [ConstExtent(bsz), ConstExtent(heads),
-                         VarExtent(batch, lens), VarExtent(batch, lens)])
-    v_in = input_tensor("V", [batch, Dim("vh"), Dim("vs"), Dim("vd")],
-                        [ConstExtent(bsz), ConstExtent(heads),
-                         VarExtent(batch, lens), ConstExtent(head_size)])
-    jax = reduce_axis(VarExtent(batch, lens), "j")
-    op = compute("AttnV", [batch, head, qi, hd],
-                 [ConstExtent(bsz), ConstExtent(heads),
-                  VarExtent(batch, lens), ConstExtent(head_size)],
-                 lambda b, h, i, d: sum_reduce(
-                     a_in[b, h, i, LoopVar(jax.dim)]
-                     * v_in[b, h, LoopVar(jax.dim), d], jax))
-    return Schedule(op)
+    return shared(program, ("attnv", id(seq), heads, head_size,
+                            int(tile), bool(remap)), build)
 
 
 def _run_attnv(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
                schedule_of, executor: "Executor",
                ) -> Tuple[List[np.ndarray], "ExecutionReport"]:
     """Marshal AttnV inputs, run ``schedule_of(lens, heads, head_size)``."""
-    from repro.ops.softmax import attention_scores_layout
-
     lens = np.ascontiguousarray([x.shape[1] for x in v], dtype=np.int64)
     heads, head_size = int(v[0].shape[0]), int(v[0].shape[2])
     bsz = int(lens.size)
@@ -288,10 +291,7 @@ def attnv_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
 
     if executor is None:
         executor = shared_executor(backend)
-    return _run_attnv(
-        attn, v,
-        lambda lens, heads, hd: _attnv_schedule(lens.tobytes(), heads, hd),
-        executor)
+    return _run_attnv(attn, v, _attnv_schedule, executor)
 
 
 def sdpa_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
@@ -319,26 +319,6 @@ def sdpa_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
     return out
 
 
-@lru_cache(maxsize=64)
-def _attnv_split_schedule(lens_bytes: bytes, heads: int, head_size: int,
-                          tile: int, remap: bool) -> Schedule:
-    """The Figure 14 "Split" AttnV schedule: the query-row vloop is split by
-    the tile size, producing a guarded inner loop for the partial tail tile
-    (no loop padding).  With ``remap`` the governing loop additionally
-    carries a sort-descending thread remap (heaviest sequences first)."""
-    schedule = _attnv_schedule(lens_bytes, heads, head_size)
-    op = schedule.operator
-    # Schedules are memoized; never mutate the shared unsplit instance.
-    schedule = Schedule(op)
-    qi = op.dims[2]
-    schedule.split(qi, int(tile))
-    if remap:
-        batch = op.dims[0]
-        schedule.parallel(batch)
-        schedule.thread_remap(batch, "sort_desc")
-    return schedule
-
-
 def attnv_split_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
                          tile: int = 4,
                          backend: str = "vector",
@@ -354,8 +334,8 @@ def attnv_split_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
         executor = shared_executor(backend)
     return _run_attnv(
         attn, v,
-        lambda lens, heads, hd: _attnv_split_schedule(
-            lens.tobytes(), heads, hd, int(tile), bool(remap)),
+        lambda lens, heads, hd: _attnv_schedule(lens, heads, hd, int(tile),
+                                                bool(remap)),
         executor)
 
 
@@ -371,19 +351,17 @@ def qkt_node(program: "Program", q: str, k: str, lengths: Sequence[int],
 
     ``q`` / ``k`` name ``[batch, heads, s(b), head_size]`` ragged values;
     the output value holds the ``[batch, heads, s(b), s(b)]`` scores.
-    Reuses the memoized schedule of :func:`qkt_compiled` (or, under an
-    active tuned-schedule policy, the memoized tuned variant for this
-    raggedness bucket), so session compilation hits the same executor
-    kernel cache.
+    Uses the program's shared schedule of :func:`_qkt_schedule` (under an
+    active tuned-schedule policy, the tuned variant for this raggedness
+    bucket), so every layer compiles to the same kernel instance.
     """
-    from repro.ops.softmax import attention_scores_layout
-
     lens = np.ascontiguousarray(lengths, dtype=np.int64)
     schedule = _qkt_point_schedule(
         applied_point("qkt", lens), lens, int(heads), int(head_size),
-        None if scale is None else float(scale))
+        None if scale is None else float(scale), program)
     return program.add_kernel(name, schedule, {"Q": q, "K": k},
-                              attention_scores_layout(lens, heads), out=out)
+                              attention_scores_layout(lens, heads, program),
+                              out=out)
 
 
 def attnv_node(program: "Program", attn: str, v: str, lengths: Sequence[int],
@@ -391,15 +369,16 @@ def attnv_node(program: "Program", attn: str, v: str, lengths: Sequence[int],
                out: Optional[str] = None) -> str:
     """Append the AttnV kernel (``probabilities @ V``) to a program graph.
 
-    Under an active tuned-schedule policy the memoized split/remap
-    variant selected for this raggedness bucket is used instead of the
+    Under an active tuned-schedule policy the split/remap variant
+    selected for this raggedness bucket is used instead of the
     hand-picked default."""
     lens = np.ascontiguousarray(lengths, dtype=np.int64)
     schedule = _attnv_point_schedule(
-        applied_point("attnv", lens), lens, int(heads), int(head_size))
-    return program.add_kernel(name, schedule, {"Attn": attn, "V": v},
-                              _qkv_layout(lens, int(heads), int(head_size)),
-                              out=out)
+        applied_point("attnv", lens), lens, int(heads), int(head_size),
+        program)
+    return program.add_kernel(
+        name, schedule, {"Attn": attn, "V": v},
+        _qkv_layout(lens, int(heads), int(head_size), program), out=out)
 
 
 def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
@@ -413,8 +392,8 @@ def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
     buffers.
     """
     lens = [int(s) for s in np.asarray(lengths, dtype=np.int64)]
-    lens_arr = np.ascontiguousarray(lens, dtype=np.int64)
     heads, head_size = int(heads), int(head_size)
+    layout = _qkv_layout(lens, heads, head_size, program)
 
     def _split(q_t, k_t, v_t, qkv_mat):
         start = 0
@@ -428,11 +407,8 @@ def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
 
     return program.add_host(
         f"{prefix}.split", _split, [qkv],
-        output_layouts={
-            f"{prefix}.q": _qkv_layout(lens_arr, heads, head_size),
-            f"{prefix}.k": _qkv_layout(lens_arr, heads, head_size),
-            f"{prefix}.v": _qkv_layout(lens_arr, heads, head_size),
-        },
+        output_layouts={f"{prefix}.q": layout, f"{prefix}.k": layout,
+                        f"{prefix}.v": layout},
         fills_output=True)
 
 
@@ -708,22 +684,19 @@ def _attention_tune_space(op: str, lengths: Sequence[int] = (),
 
 
 def _qkt_point_schedule(point: Optional[TunePoint], lens: np.ndarray,
-                        heads: int, head_size: int,
-                        scale: Optional[float]) -> Schedule:
+                        heads: int, head_size: int, scale: Optional[float],
+                        program: Optional["Program"] = None) -> Schedule:
     tile = int(point.get("tile", 0)) if point is not None else 0
-    if tile:
-        return _qkt_split_schedule(lens.tobytes(), heads, head_size, scale,
-                                   tile, bool(point.get("remap", False)))
-    return _qkt_schedule(lens.tobytes(), heads, head_size, scale)
+    return _qkt_schedule(lens, heads, head_size, scale, tile,
+                         bool(tile and point.get("remap", False)), program)
 
 
 def _attnv_point_schedule(point: Optional[TunePoint], lens: np.ndarray,
-                          heads: int, head_size: int) -> Schedule:
+                          heads: int, head_size: int,
+                          program: Optional["Program"] = None) -> Schedule:
     tile = int(point.get("tile", 0)) if point is not None else 0
-    if tile:
-        return _attnv_split_schedule(lens.tobytes(), heads, head_size,
-                                     tile, bool(point.get("remap", False)))
-    return _attnv_schedule(lens.tobytes(), heads, head_size)
+    return _attnv_schedule(lens, heads, head_size, tile,
+                           bool(tile and point.get("remap", False)), program)
 
 
 def _qkt_tune_build(point: TunePoint, lengths: Sequence[int],
@@ -804,8 +777,6 @@ def _qkt_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
 def _attnv_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
                        heads: int = 2, head_size: int = 8,
                        **_) -> Dict[str, RaggedTensor]:
-    from repro.ops.softmax import attention_scores_layout
-
     lens = np.ascontiguousarray(lengths, dtype=np.int64)
     heads, head_size = int(heads), int(head_size)
     attn = [rng.standard_normal((heads, int(s), int(s))).astype(np.float32)
@@ -818,12 +789,6 @@ def _attnv_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
         "V": RaggedTensor.from_slices(_qkv_layout(lens, heads, head_size), v),
     }
 
-
-register_schedule_memo("attention.qkv_layout", _qkv_layout_memo)
-register_schedule_memo("attention.qkt", _qkt_schedule)
-register_schedule_memo("attention.qkt_split", _qkt_split_schedule)
-register_schedule_memo("attention.attnv", _attnv_schedule)
-register_schedule_memo("attention.attnv_split", _attnv_split_schedule)
 
 register_tune_op(
     "qkt",

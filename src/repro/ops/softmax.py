@@ -12,7 +12,7 @@ FasterTransformer's schedule).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.core.operator import (
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
-from repro.core.tunespace import register_schedule_memo
 from repro.substrates.costmodel import KernelLaunch, softmax_flops
 
 
@@ -68,65 +67,84 @@ def masked_softmax_dense(scores: np.ndarray, lengths: Sequence[int]) -> np.ndarr
 # -- compiled (executor-backed) implementation ------------------------------------
 
 
-def attention_scores_layout(lengths: Sequence[int], num_heads: int,
-                            ) -> RaggedLayout:
-    """Layout of the ragged attention-score tensor ``[batch, heads, s(b), s(b)]``
-    (one immutable object per distinct argument set, see :func:`_scores_layout`)."""
+def shared(program: Optional["Program"], key: Tuple, build: Callable):
+    """``build()`` once per ``program`` (every time without one).
+
+    What the call sites of one graph share -- the length function of its
+    mini-batch, the layouts and schedules built on it, the same in every
+    layer -- is scoped to the graph: nothing here is keyed by length
+    values process-wide, and nothing outlives the batch's program."""
+    return build() if program is None else program.memoize(key, build)
+
+
+def batch_lengths(lengths: Sequence[int], program: Optional["Program"] = None,
+                  ) -> Tuple[np.ndarray, Dim, VarExtent]:
+    """A mini-batch's length table, batch dimension and length function
+    ``s(b)``.  One triple per program: every ragged layout and schedule
+    of the batch is built on the same extent object."""
     lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    return _scores_layout(lens.tobytes(), int(num_heads))
+
+    def build():
+        batch = Dim("batch")
+        return lens, batch, VarExtent(batch, lens)
+
+    return shared(program, ("batch", lens.tobytes()), build)
 
 
-@lru_cache(maxsize=64)
-def _scores_layout(lens_bytes: bytes, num_heads: int) -> RaggedLayout:
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    batch = Dim("batch")
-    return RaggedLayout(
-        [batch, Dim("head"), Dim("qi"), Dim("kj")],
-        [ConstExtent(lens.size), ConstExtent(num_heads),
-         VarExtent(batch, lens), VarExtent(batch, lens)])
+def attention_scores_layout(lengths: Sequence[int], num_heads: int,
+                            program: Optional["Program"] = None,
+                            ) -> RaggedLayout:
+    """Layout of the ragged attention-score tensor ``[batch, heads, s(b), s(b)]``."""
+    lens, batch, seq = batch_lengths(lengths, program)
+    return shared(
+        program, ("scores-layout", id(seq), int(num_heads)),
+        lambda: RaggedLayout(
+            [batch, Dim("head"), Dim("qi"), Dim("kj")],
+            [ConstExtent(lens.size), ConstExtent(num_heads), seq, seq]))
 
 
 def attention_rows_layout(lengths: Sequence[int], num_heads: int,
+                          program: Optional["Program"] = None,
                           ) -> RaggedLayout:
     """Layout of a per-row attention reduction ``[batch, heads, s(b)]``
     (the row-max and row-sum tensors of the softmax chain)."""
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    return _rows_layout(lens.tobytes(), int(num_heads))
+    lens, batch, seq = batch_lengths(lengths, program)
+    return shared(
+        program, ("rows-layout", id(seq), int(num_heads)),
+        lambda: RaggedLayout(
+            [batch, Dim("head"), Dim("qi")],
+            [ConstExtent(lens.size), ConstExtent(num_heads), seq]))
 
 
-@lru_cache(maxsize=64)
-def _rows_layout(lens_bytes: bytes, num_heads: int) -> RaggedLayout:
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    batch = Dim("batch")
-    return RaggedLayout(
-        [batch, Dim("head"), Dim("qi")],
-        [ConstExtent(lens.size), ConstExtent(num_heads),
-         VarExtent(batch, lens)])
-
-
-@lru_cache(maxsize=64)
-def _softmax_schedules(lens_bytes: bytes, heads: int,
+def _softmax_schedules(lengths: Sequence[int], heads: int,
+                       program: Optional["Program"] = None,
                        ) -> Tuple[Schedule, Schedule, Schedule, Schedule]:
     """The four softmax kernels (row max, shifted exp, row sum, normalise),
-    memoized per (lengths, heads) so the executor's kernel cache hits."""
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    bsz = int(lens.size)
-    batch, head, qi, kj = Dim("batch"), Dim("head"), Dim("qi"), Dim("kj")
-    row_extents = [ConstExtent(bsz), ConstExtent(heads), VarExtent(batch, lens)]
-    mat_extents = row_extents + [VarExtent(batch, lens)]
+    one set per program so every layer compiles the same kernel instances."""
+    lens, batch, seq = batch_lengths(lengths, program)
+    return shared(program, ("softmax", id(seq), int(heads)),
+                  lambda: _build_softmax_schedules(lens.size, batch, seq,
+                                                   int(heads)))
+
+
+def _build_softmax_schedules(bsz: int, batch: Dim, seq: VarExtent, heads: int,
+                             ) -> Tuple[Schedule, Schedule, Schedule, Schedule]:
+    head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
+    row_extents = [ConstExtent(bsz), ConstExtent(heads), seq]
+    mat_extents = row_extents + [seq]
 
     s_in = input_tensor("S", [batch, head, qi, kj], mat_extents)
     m_in = input_tensor("M", [batch, head, qi], row_extents)
     e_in = input_tensor("E", [batch, head, qi, kj], mat_extents)
     z_in = input_tensor("Z", [batch, head, qi], row_extents)
 
-    jax = reduce_axis(VarExtent(batch, lens), "j")
+    jax = reduce_axis(seq, "j")
     max_op = compute("M", [batch, head, qi], row_extents,
                      lambda b, h, i: max_reduce(
                          s_in[b, h, i, LoopVar(jax.dim)], jax))
     exp_op = compute("E", [batch, head, qi, kj], mat_extents,
                      lambda b, h, i, j: exp(s_in[b, h, i, j] - m_in[b, h, i]))
-    sumax = reduce_axis(VarExtent(batch, lens), "j2")
+    sumax = reduce_axis(seq, "j2")
     sum_op = compute("Z", [batch, head, qi], row_extents,
                      lambda b, h, i: sum_reduce(
                          e_in[b, h, i, LoopVar(sumax.dim)], sumax))
@@ -139,8 +157,7 @@ def _softmax_schedules(lens_bytes: bytes, heads: int,
 def _softmax_chain(s_tensor: RaggedTensor, lens: np.ndarray, heads: int,
                    executor: "Executor") -> Tuple[RaggedTensor, list]:
     """Run the four-kernel softmax chain on a packed score tensor."""
-    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(lens.tobytes(),
-                                                            heads)
+    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(lens, heads)
     reports = []
     m_out, rep = executor.build_and_run(max_sch, {"S": s_tensor})
     reports.append(rep)
@@ -181,19 +198,27 @@ def softmax_compiled(scores: Sequence[np.ndarray],
 # -- masked (triangular) softmax ---------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def causal_mask_matrix(max_len: int) -> np.ndarray:
+def _mask_width(max_len: int) -> int:
+    """Side of the mask matrix serving sequences up to ``max_len``: a
+    power of two, at least 64.  The mask kernel names its row width, so
+    a size class per structure keeps one kernel for every batch of it."""
+    return max(64, 1 << (max(int(max_len), 1) - 1).bit_length())
+
+
+@lru_cache(maxsize=16)
+def causal_mask_matrix(width: int) -> np.ndarray:
     """Dense additive causal mask: 0 on and below the diagonal, ``-inf``
     above.  Shared by every sequence of the batch (rows/columns past a
     sequence's length are simply never indexed by the ragged kernels).
-    Memoized per size; treat the returned array as immutable."""
-    mask = np.zeros((max_len, max_len), dtype=np.float32)
-    mask[np.triu_indices(max_len, k=1)] = -np.inf
+    Memoized per size class (:func:`_mask_width`); treat the returned
+    array as immutable."""
+    mask = np.zeros((width, width), dtype=np.float32)
+    mask[np.triu_indices(width, k=1)] = -np.inf
     return mask
 
 
-@lru_cache(maxsize=64)
-def _mask_schedule(lens_bytes: bytes, heads: int, max_len: int) -> Schedule:
+def _mask_schedule(lengths: Sequence[int], heads: int, width: int,
+                   program: Optional["Program"] = None) -> Schedule:
     """Additive-mask kernel ``SM[b,h,i,j] = S[b,h,i,j] + Mask[i,j]``.
 
     This is how the masked-SDPA schedule reaches the compiled pipeline
@@ -202,17 +227,19 @@ def _mask_schedule(lens_bytes: bytes, heads: int, max_len: int) -> Schedule:
     indexed by the two inner vloops, which the vector backend turns into a
     single broadcast add over each instance bucket.
     """
-    lens = np.frombuffer(lens_bytes, dtype=np.int64)
-    bsz = int(lens.size)
-    batch, head, qi, kj = Dim("batch"), Dim("head"), Dim("qi"), Dim("kj")
-    mat_extents = [ConstExtent(bsz), ConstExtent(heads),
-                   VarExtent(batch, lens), VarExtent(batch, lens)]
-    s_in = input_tensor("S", [batch, head, qi, kj], mat_extents)
-    m_in = input_tensor("Mask", [Dim("mi"), Dim("mj")],
-                        [ConstExtent(max_len), ConstExtent(max_len)])
-    op = compute("SM", [batch, head, qi, kj], mat_extents,
-                 lambda b, h, i, j: s_in[b, h, i, j] + m_in[i, j])
-    return Schedule(op)
+    lens, batch, seq = batch_lengths(lengths, program)
+
+    def build() -> Schedule:
+        head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
+        mat_extents = [ConstExtent(lens.size), ConstExtent(heads), seq, seq]
+        s_in = input_tensor("S", [batch, head, qi, kj], mat_extents)
+        m_in = input_tensor("Mask", [Dim("mi"), Dim("mj")],
+                            [ConstExtent(width), ConstExtent(width)])
+        op = compute("SM", [batch, head, qi, kj], mat_extents,
+                     lambda b, h, i, j: s_in[b, h, i, j] + m_in[i, j])
+        return Schedule(op)
+
+    return shared(program, ("mask", id(seq), int(heads), int(width)), build)
 
 
 def masked_softmax_compiled(scores: Sequence[np.ndarray],
@@ -233,12 +260,12 @@ def masked_softmax_compiled(scores: Sequence[np.ndarray],
     lens = np.ascontiguousarray([s.shape[-1] for s in scores], dtype=np.int64)
     heads = int(scores[0].shape[0])
     bsz = int(lens.size)
-    max_len = max(int(lens.max()) if bsz else 0, 1)
+    width = _mask_width(int(lens.max()) if bsz else 0)
     s_tensor = RaggedTensor.from_slices(
         attention_scores_layout(lens, heads), list(scores))
-    mask_sch = _mask_schedule(lens.tobytes(), heads, max_len)
+    mask_sch = _mask_schedule(lens, heads, width)
     masked, rep = executor.build_and_run(
-        mask_sch, {"S": s_tensor, "Mask": causal_mask_matrix(max_len)})
+        mask_sch, {"S": s_tensor, "Mask": causal_mask_matrix(width)})
     p_out, reports = _softmax_chain(masked, lens, heads, executor)
     return [p_out.valid_slice(b) for b in range(bsz)], [rep] + reports
 
@@ -251,16 +278,14 @@ def softmax_nodes(program: "Program", scores: str, lengths: Sequence[int],
     """Append the four-kernel ragged softmax chain to a program graph.
 
     ``scores`` names a ``[batch, heads, s(b), s(b)]`` ragged value; the
-    returned value name holds the row-normalised probabilities.  The
-    schedules are the same memoized objects :func:`softmax_compiled` uses,
-    so a session compiling the program shares the executor's kernel cache
-    with op-by-op execution.
+    returned value name holds the row-normalised probabilities.  Schedules
+    and layouts are shared program-wide (:func:`shared`), so every layer's
+    chain compiles to the same kernel instances.
     """
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(lens.tobytes(),
-                                                           int(num_heads))
-    rows = lambda: attention_rows_layout(lens, num_heads)
-    mat = lambda: attention_scores_layout(lens, num_heads)
+    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(
+        lengths, num_heads, program)
+    rows = lambda: attention_rows_layout(lengths, num_heads, program)
+    mat = lambda: attention_scores_layout(lengths, num_heads, program)
     m = program.add_kernel(f"{prefix}.max", max_sch, {"S": scores},
                            rows(), out=f"{prefix}.m")
     e = program.add_kernel(f"{prefix}.exp", exp_sch, {"S": scores, "M": m},
@@ -277,21 +302,14 @@ def masked_softmax_nodes(program: "Program", scores: str,
     """Causal-masked softmax as program nodes: the additive triangular-mask
     kernel (a dense mask constant shared across the batch) followed by the
     standard four-kernel chain of :func:`softmax_nodes`."""
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    max_len = max(int(lens.max()) if lens.size else 0, 1)
-    mask_sch = _mask_schedule(lens.tobytes(), int(num_heads), max_len)
-    mask = program.add_constant(f"{prefix}.mask", causal_mask_matrix(max_len))
+    width = _mask_width(max((int(n) for n in lengths), default=0))
+    mask_sch = _mask_schedule(lengths, num_heads, width, program)
+    mask = program.add_constant(f"{prefix}.mask", causal_mask_matrix(width))
     masked = program.add_kernel(
         f"{prefix}.addmask", mask_sch, {"S": scores, "Mask": mask},
-        attention_scores_layout(lens, num_heads), out=f"{prefix}.sm")
-    return softmax_nodes(program, masked, lens, num_heads, prefix=prefix)
-
-
-register_schedule_memo("softmax.scores_layout", _scores_layout)
-register_schedule_memo("softmax.rows_layout", _rows_layout)
-register_schedule_memo("softmax.chain", _softmax_schedules)
-register_schedule_memo("softmax.mask", _mask_schedule)
-register_schedule_memo("softmax.causal_mask_matrix", causal_mask_matrix)
+        attention_scores_layout(lengths, num_heads, program),
+        out=f"{prefix}.sm")
+    return softmax_nodes(program, masked, lengths, num_heads, prefix=prefix)
 
 
 def softmax_launch(lengths: Sequence[int], num_heads: int,

@@ -374,7 +374,7 @@ class TestBucketing:
         op, data = _elementwise_op(lens, seed=12)
         compiled = Executor(backend="vector").compile(Schedule(op))
         assert compiled.backend_name == "vector"
-        buckets = compiled.generated.fn.__globals__["_BUCKETS"]
+        buckets = compiled.lowered.aux_arrays["buckets"]
         assert len(buckets) == 2  # one per distinct length
         assert sorted(int(i) for b in buckets for i in b) == list(range(5))
 
@@ -383,7 +383,7 @@ class TestBucketing:
         op, data = _elementwise_op(lens, seed=13)
         executor = Executor(backend="vector")
         compiled = executor.compile(Schedule(op))
-        buckets = compiled.generated.fn.__globals__["_BUCKETS"]
+        buckets = compiled.lowered.aux_arrays["buckets"]
         assert len(buckets) == 1
         out, _ = executor.run(compiled, {"A": data})
         assert np.allclose(out.data, 2.0 * data.data, atol=1e-5)
@@ -405,7 +405,7 @@ class TestBucketing:
         w = np.random.default_rng(15).standard_normal((4, 3)).astype(np.float32)
         outs = run_both(op, {"A": ta, "W": w})
         assert_backends_match(outs)
-        buckets = outs["vector"][1].generated.fn.__globals__["_BUCKETS"]
+        buckets = outs["vector"][1].lowered.aux_arrays["buckets"]
         assert len(buckets) == 2
 
 

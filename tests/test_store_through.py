@@ -349,25 +349,25 @@ class TestEmittedSource:
         assert all(step[4] is None for step in compiled._steps
                    if step[0] == 0)
 
-    def test_new_raggedness_reuses_the_byte_compiled_kernel_text(self):
+    def test_new_raggedness_reuses_the_generated_kernel(self):
         # Emitted text names no instance lengths, so a never-seen batch
-        # re-emits text that is already byte-compiled: its kernels share
-        # the code objects and differ only in the injected buckets (and
-        # aux tables).  Keeps a serving session's in-window compiles cheap.
+        # shares the kernels already generated for its structures: the
+        # instances differ only in their prelude (buckets and aux tables).
+        # Keeps a serving session's in-window compiles cheap.
         weights = make_weights(SMALL, 0)
         session = Session(executor=Executor(backend="vector"))
         first, second = (
-            {k.lowered.name: k.generated for k in session.compile(
+            {k.lowered.name: k for k in session.compile(
                 build_encoder_program(lengths, weights, SMALL, masked=True)
             ).kernels.values()}
             for lengths in ([5, 3, 7], [6, 6, 2, 1]))
         assert session.executor.lower_count == 2 * len(first)
         for name in ("QKT", "M", "E", "Z", "P", "AttnV"):
             a, b = first[name], second[name]
-            assert a.source == b.source, name
-            assert a.fn is not b.fn and a.fn.__code__ is b.fn.__code__, name
-            assert [x.tolist() for x in a.fn.__globals__["_BUCKETS"]] \
-                != [x.tolist() for x in b.fn.__globals__["_BUCKETS"]], name
+            assert a.generated is b.generated, name
+            assert "_BUCKETS" not in a.generated.fn.__globals__, name
+            assert [x.tolist() for x in a.lowered.aux_arrays["buckets"]] \
+                != [x.tolist() for x in b.lowered.aux_arrays["buckets"]], name
         tokens = packed_tokens([6, 6, 2, 1], SMALL.hidden_size, 3)
         program = build_encoder_program([6, 6, 2, 1], weights, SMALL,
                                         masked=True)
@@ -470,7 +470,8 @@ class TestAOTVersionSkew:
         (path,) = tmp_path.glob("kernels/*/*.pkl")
         payload = pickle.loads(path.read_bytes())
         payload["version"] = aotcache.AOT_VERSION - 1
-        payload["source"] = payload["source"].replace("2.0", "3.0")
+        (variant,) = payload["variants"]
+        variant["source"] = variant["source"].replace("2.0", "3.0")
         path.write_bytes(pickle.dumps(payload))
 
         fresh = Executor(backend="vector", disk_cache=str(tmp_path))
@@ -484,7 +485,7 @@ class TestAOTVersionSkew:
         assert events[0].key == kernel_cache_key(schedule, None, "vector")
         # A plain miss (no file at all) is not worth an event.
         caplog.clear()
-        assert AOTCache(tmp_path).load("0" * 64) is None
+        assert AOTCache(tmp_path).load("0" * 64, lambda decisions: True) is None
         assert not caplog.records
 
 
