@@ -93,16 +93,19 @@ class _Canon:
 
     ``Dim`` uids come from a per-process counter, so they cannot appear
     in a cross-process key; the traversal order below is deterministic,
-    which makes first-appearance numbering stable.
+    which makes first-appearance numbering stable.  ``names`` lists the
+    dims' names in that order: lowering names aux tables after them.
     """
 
     def __init__(self) -> None:
-        self._ids: Dict[object, int] = {}
+        self._ids: Dict[int, int] = {}
+        self.names: List[str] = []
 
     def dim(self, d) -> int:
-        i = self._ids.get(d)
+        i = self._ids.get(id(d))
         if i is None:
-            i = self._ids[d] = len(self._ids)
+            i = self._ids[id(d)] = len(self.names)
+            self.names.append(d.name)
         return i
 
 
@@ -143,10 +146,9 @@ def _expr_fp(expr: Expr, canon: _Canon) -> Tuple:
         return ("call", expr.fn,
                 tuple(_expr_fp(a, canon) for a in expr.args))
     if isinstance(expr, TensorAccess):
-        spec = expr.tensor
-        return ("acc", spec.name,
-                tuple(canon.dim(d) for d in spec.dims),
-                _extents_fp(spec.extents, canon),
+        # (The tensor's dims and extents are described once, with the
+        # operator's inputs.)
+        return ("acc", expr.tensor.name,
                 tuple(_expr_fp(i, canon) for i in expr.indices))
     if isinstance(expr, Reduce):
         return ("red", expr.combiner, float(expr.init),
@@ -219,7 +221,7 @@ def stable_schedule_fingerprint(
     layouts_fp = tuple(sorted(
         (name, _layout_fp(layout, canon))
         for name, layout in (input_layouts or {}).items()))
-    return (op_fp, sched_fp, layouts_fp)
+    return (op_fp, sched_fp, layouts_fp, tuple(canon.names))
 
 
 def kernel_cache_key(

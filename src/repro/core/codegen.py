@@ -65,7 +65,7 @@ class GeneratedKernel:
     A generated kernel is a pure function of ``(buffers, aux)``: nothing
     in its source or namespace names an instance length, so one object
     serves every raggedness signature of its *structure* (see
-    :func:`structure_kernel`).  ``decisions`` and ``prelude`` are what a
+    :func:`kernel_structure`).  ``decisions`` and ``prelude`` are what a
     new instance needs to check and to build before it may share the
     kernel (:mod:`repro.core.codegen_vector`).
 
@@ -119,33 +119,41 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-#: The process-wide kernel table: structure key -> the kernels generated for
-#: it, one per distinct set of emitter decisions.  Bounded; shared by every
-#: executor, the plain and the fused emitter and the AOT disk tier.
-_STRUCTURES: "LRUDict[object, List[GeneratedKernel]]" = LRUDict(1024)
+@dataclass
+class KernelStructure:
+    """What the process has compiled of one kernel structure: the
+    lowering of its first instance (the loop nest every later instance
+    shares, ``None`` for fused regions) and the kernels generated for it,
+    one per distinct set of emitter decisions."""
+
+    lowered: Optional[LoweredKernel] = None
+    kernels: Tuple[GeneratedKernel, ...] = ()
+
+    def kernel(self, holds: Callable[[Tuple], bool],
+               ) -> Optional[GeneratedKernel]:
+        """The kernel whose recorded decisions ``holds`` confirms for the
+        instance at hand, if one was generated."""
+        return next((g for g in self.kernels if holds(g.decisions)), None)
+
+
+#: The process-wide kernel table, by structure key.  Bounded; shared by
+#: every executor, the plain and the fused emitter and the AOT disk tier.
+_STRUCTURES: "LRUDict[object, KernelStructure]" = LRUDict(1024)
 _STRUCTURES_LOCK = threading.Lock()
 
 
-def structure_kernel(key: object, holds: Callable[[Tuple], bool],
-                     ) -> Optional[GeneratedKernel]:
-    """The kernel already generated for structure ``key`` whose recorded
-    decisions ``holds`` confirms for the instance at hand, if any."""
+def kernel_structure(key: object) -> KernelStructure:
+    """The table's (possibly still empty) entry for structure ``key``."""
     with _STRUCTURES_LOCK:
-        variants = list(_STRUCTURES.get(key) or ())
-    return next((g for g in variants if holds(g.decisions)), None)
-
-
-def remember_structure(key: object, generated: GeneratedKernel) -> None:
-    with _STRUCTURES_LOCK:
-        variants = _STRUCTURES.get(key)
-        if variants is None:
-            _STRUCTURES.put(key, [generated])
-        else:
-            variants.append(generated)
+        entry = _STRUCTURES.get(key)
+        if entry is None:
+            entry = KernelStructure()
+            _STRUCTURES.put(key, entry)
+        return entry
 
 
 def clear_structures() -> None:
-    """Forget every generated kernel (tests; a cold process)."""
+    """Forget every compiled structure (tests; a cold process)."""
     with _STRUCTURES_LOCK:
         _STRUCTURES.clear()
 

@@ -106,6 +106,7 @@ from repro.core.codegen import (
 )
 from repro.core.dims import Dim
 from repro.core.errors import LoweringError
+from repro.core.extents import PaddedExtent
 from repro.core.ir import (
     BinOp,
     Call,
@@ -328,6 +329,22 @@ def _resolve(ref: Tuple, kernels: Sequence[LoweredKernel]) -> np.ndarray:
     return np.diff(np.concatenate([row, [total]]))
 
 
+def _same_extent(a: Tuple, b: Tuple,
+                 kernels: Sequence[LoweredKernel]) -> bool:
+    """Whether two table references are known to agree without looking:
+    both were materialised from one extent (the same length function
+    under the same padding)."""
+    ea = kernels[a[0]].extents.get(a[2] if a[1] == "bound" and a[3] == 1
+                                   else a[2:] if a[1] == "shape" else None)
+    eb = kernels[b[0]].extents.get(b[2] if b[1] == "bound" and b[3] == 1
+                                   else b[2:] if b[1] == "shape" else None)
+    if ea is None or eb is None:
+        return False
+    return ea is eb or (
+        isinstance(ea, PaddedExtent) and isinstance(eb, PaddedExtent)
+        and ea.multiple == eb.multiple and ea.base is eb.base)
+
+
 def _fit(needed: np.ndarray, available: np.ndarray) -> Optional[bool]:
     """``None`` when a loop bound exceeds its storage extent, else whether
     the bound *equals* the extent at every governing index."""
@@ -362,8 +379,11 @@ def decisions_hold(decisions: Tuple,
             tables[ref] = _resolve(ref, kernels)
         return tables[ref]
 
-    return all(_OUTCOMES[kind](table(a), table(b)) == outcome
-               for (kind, a, b), outcome in decisions)
+    return all(
+        (outcome is True and kind in ("fit", "same")
+         and _same_extent(a, b, kernels))
+        or _OUTCOMES[kind](table(a), table(b)) == outcome
+        for (kind, a, b), outcome in decisions)
 
 
 def bind_prelude(generated: GeneratedKernel,

@@ -20,7 +20,7 @@ a generated kernel -- is keyed per executor by the identity of the
 (operator, schedule state, input layouts) triple, so repeated
 ``build_and_run`` calls with an unchanged schedule skip everything.  The
 generated kernel itself is looked up by its length-free *structure* in a
-process-wide table (:func:`repro.core.codegen.structure_kernel`): a
+process-wide table (:func:`repro.core.codegen.kernel_structure`): a
 never-seen signature of a known structure only pays the prelude --
 lowering its tables, re-checking the emitter's recorded decisions and
 bucketing its instances.  ``Executor.lower_count`` / ``cache_hits`` /
@@ -48,9 +48,9 @@ from repro.core.cache import LRUDict
 from repro.core.codegen import (
     CodegenBackend,
     GeneratedKernel,
+    KernelStructure,
     get_backend,
-    remember_structure,
-    structure_kernel,
+    kernel_structure,
 )
 from repro.core.codegen_vector import (
     FusedMemberPlan,
@@ -453,14 +453,19 @@ class Executor:
         schedule: Schedule,
         input_layouts: Optional[Dict[str, RaggedLayout]] = None,
     ) -> CompiledKernel:
-        """Build one kernel instance: lower its tables (the prelude) and
-        bind them to the kernel of its structure."""
-        lowered = lower_schedule(schedule, input_layouts=input_layouts)
+        """Build one kernel instance: lower its tables (for a known
+        structure, only the prelude part of lowering runs) and bind them
+        to the kernel of its structure."""
         try:
             key = (self.backend.name,
                    stable_schedule_fingerprint(schedule, input_layouts))
         except Uncacheable:
             key = None
+        entry = kernel_structure(key) if key is not None else None
+        lowered = lower_schedule(schedule, input_layouts=input_layouts,
+                                 like=entry and entry.lowered)
+        if entry is not None and entry.lowered is None:
+            entry.lowered = lowered
         disk = self.disk_cache if key is not None else None
         on_disk = disk_key(key) if disk is not None else None
 
@@ -476,7 +481,7 @@ class Executor:
         else:
             self.lower_count += 1
             generated = self._shared_kernel(
-                key, holds, lambda: self.backend.generate(lowered))
+                entry, holds, lambda: self.backend.generate(lowered))
             if disk is not None and disk.store(on_disk, generated):
                 self.disk_stores += 1
         extra, _ = bind_prelude(generated, [lowered])
@@ -484,16 +489,16 @@ class Executor:
         return CompiledKernel(lowered=lowered, generated=generated,
                               structure=key)
 
-    def _shared_kernel(self, key: Optional[object],
+    def _shared_kernel(self, entry: Optional[KernelStructure],
                        holds: Callable[[Tuple], bool],
                        generate: Callable[[], GeneratedKernel],
                        ) -> GeneratedKernel:
-        """The kernel of structure ``key`` from the process-wide table --
-        the one whose recorded decisions the instance repeats -- else
-        ``generate`` it and remember it there.  Structures without a key
-        (callable-backed extents / remap policies) are generated per
-        instance."""
-        generated = structure_kernel(key, holds) if key is not None else None
+        """The kernel of a structure from its entry in the process-wide
+        table -- the one whose recorded decisions the instance repeats --
+        else ``generate`` it and remember it there.  Structures without
+        an entry (callable-backed extents / remap policies) are generated
+        per instance."""
+        generated = entry.kernel(holds) if entry is not None else None
         if generated is not None:
             self.structure_hits += 1
             # Account the reuse like a generation: the backend's
@@ -504,8 +509,8 @@ class Executor:
             return generated
         self.structures_generated += 1
         generated = generate()
-        if key is not None:
-            remember_structure(key, generated)
+        if entry is not None:
+            entry.kernels += (generated,)
         return generated
 
     # -- fused regions ---------------------------------------------------------
@@ -591,7 +596,8 @@ class Executor:
                  plan.internal)
                 for plan, compiled in zip(plans, members)))
         generated = self._shared_kernel(
-            key, lambda decisions: decisions_hold(decisions, lowered),
+            kernel_structure(key) if key is not None else None,
+            lambda decisions: decisions_hold(decisions, lowered),
             lambda: self._generate_fused(node.name, plans, members))
         reason = generated.fallback_reason
         if reason is None:

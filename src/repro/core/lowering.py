@@ -15,8 +15,8 @@ mirroring how CoRa's generated code indexes prelude-built arrays at run time
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -166,6 +166,14 @@ class LoweredKernel:
     hoist_loads: bool = True
     #: output storage dims are fused into a single flat dim
     output_dims_fused: bool = False
+    #: the extent each bound table (by name) and each ragged storage axis
+    #: (by ``(shape table name, column)``) was materialised from: two
+    #: tables of one extent agree without being compared
+    extents: Dict[object, Extent] = field(default_factory=dict, repr=False)
+    #: how to rebuild ``aux_arrays`` and the tensor layouts for another
+    #: instance of this kernel structure (see :class:`_Prelude`)
+    prelude: List[Callable] = field(default_factory=list, repr=False,
+                                    compare=False)
 
     def loop_vars(self) -> List[str]:
         return [l.var for l in self.loops]
@@ -191,9 +199,95 @@ def materialise_extent(ext: Extent, gov_count: int) -> Tuple[str, Union[int, np.
     if ext.is_constant:
         return ("const", int(ext()), None)
     governing = ext.deps[0]
-    idx = np.arange(gov_count, dtype=np.int64)
-    table = np.asarray(ext(idx), dtype=np.int64)
+    # One table per (length function, padding) and mini-batch: kernels
+    # and layers share it through the extent's prelude.
+    mult, base = (ext.multiple, ext.base) \
+        if isinstance(ext, PaddedExtent) else (1, ext)
+    memo = base.prelude if isinstance(base, VarExtent) else {}
+    table = memo.get(("table", mult, gov_count))
+    if table is None:
+        idx = np.arange(gov_count, dtype=np.int64)
+        table = np.asarray(ext(idx), dtype=np.int64)
+        memo["table", mult, gov_count] = table
     return ("table", table, governing)
+
+
+class _Prelude:
+    """The length-dependent half of one lowering.
+
+    Lowering records every auxiliary array it registers as a *step*: a
+    function of a ``_Prelude`` that refers to the schedule's dims, extents
+    and inputs by position only.  Running the steps on the schedule of
+    another instance of the same kernel structure therefore rebuilds that
+    instance's tables and layouts -- without building the loop nest again.
+    """
+
+    def __init__(self, schedule: Schedule,
+                 input_layouts: Optional[Dict[str, RaggedLayout]]):
+        self.schedule = schedule
+        self.op = schedule.operator
+        self.gov_count = _governing_extent_of(self.op)
+        self.input_layouts = input_layouts or {}
+        self.aux: Dict[str, np.ndarray] = {}
+        self.extents: Dict[object, Extent] = {}
+        #: tensor name (``None``: the output) -> its storage layout
+        self.layouts: Dict[Optional[str], RaggedLayout] = {}
+        self._axes: Optional[List[ReduceAxis]] = None
+
+    def put(self, name: str, table) -> None:
+        self.aux[name] = np.asarray(table, dtype=np.int64)
+
+    def put_extent(self, name: str, ext: Extent, tile: int = 1) -> None:
+        """Register ``ceil(ext / tile)`` -- a count or a table over the
+        governing indices -- as ``name``."""
+        value = materialise_extent(ext, self.gov_count)[1]
+        if tile == 1:
+            self.extents[name] = ext
+        else:
+            value = (value + tile - 1) // tile
+        self.put(name, value)
+
+    def loop_extent(self, i: int) -> Extent:
+        """The loop-padded extent of the operator's ``i``-th loop."""
+        return self.op.loop_extents[i].padded(
+            self.schedule.loop_padding.get(self.op.dims[i], 1))
+
+    def axis_extent(self, k: int) -> Extent:
+        """The extent of the ``k``-th reduction axis of the body."""
+        if self._axes is None:
+            self._axes = [axis for red in reductions_in(self.op.body)
+                          for axis in red.axes]
+        return self._axes[k].extent
+
+
+def _rebind(like: "LoweredKernel", prelude: _Prelude) -> "LoweredKernel":
+    """``like``'s loop nest over the tables and layouts of ``prelude``."""
+    for step in like.prelude:
+        step(prelude)
+    aux, layouts = prelude.aux, prelude.layouts
+
+    def counted(bound: BoundSpec) -> BoundSpec:
+        """A bound that counts instances, at this instance's count."""
+        return replace(bound, value=int(aux[bound.table_name]))
+
+    loops = list(like.loops)
+    for k, loop in enumerate(loops):
+        if loop.bound.is_const and loop.bound.table_name:
+            loops[k] = loop = replace(loop, bound=counted(loop.bound))
+        guard = loop.guard
+        if guard and guard.bound.is_const and guard.bound.table_name:
+            loops[k] = replace(loop, guard=replace(
+                guard, bound=counted(guard.bound)))
+
+    def over(plan: TensorPlan, layout: RaggedLayout) -> TensorPlan:
+        return TensorPlan(plan.spec, layout, plan.row_name, plan.stride_name,
+                          plan.shape_name, plan.dense_strides)
+
+    return replace(
+        like, loops=loops, aux_arrays=aux, extents=prelude.extents,
+        output_plan=over(like.output_plan, layouts[None]),
+        input_plans={name: over(plan, layouts[name])
+                     for name, plan in like.input_plans.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +298,7 @@ def materialise_extent(ext: Extent, gov_count: int) -> Tuple[str, Union[int, np.
 def lower_schedule(
     schedule: Schedule,
     input_layouts: Optional[Dict[str, RaggedLayout]] = None,
+    like: Optional[LoweredKernel] = None,
 ) -> LoweredKernel:
     """Lower a scheduled operator into a :class:`LoweredKernel`.
 
@@ -215,30 +310,50 @@ def lower_schedule(
         Optional explicit layouts for the input tensors.  By default each
         input uses the layout implied by its declared extents plus any
         input storage padding recorded on the schedule.
+    like:
+        The lowering of another instance of the same kernel structure
+        (same operator, schedule state and layout kinds; other lengths):
+        only the prelude part of lowering runs, and the result shares
+        ``like``'s loop nest.
     """
+    p = _Prelude(schedule, input_layouts)
+    if like is not None:
+        return _rebind(like, p)
     op = schedule.operator
-    gov_count = _governing_extent_of(op)
-    aux: Dict[str, np.ndarray] = {}
+    aux = p.aux
+    steps: List[Callable[[_Prelude], None]] = []
 
-    base_extents = dict(zip(op.dims, op.loop_extents))
+    def run(step: Callable[[_Prelude], None]) -> None:
+        steps.append(step)
+        step(p)
+
+    position = {d: i for i, d in enumerate(op.dims)}
     split_by_outer = {s.outer: s for s in schedule.splits}
     split_by_inner = {s.inner: s for s in schedule.splits}
     fuse_by_fused = {f.fused: f for f in schedule.fusions}
 
     def padded_loop_extent(dim: Dim) -> Extent:
-        ext = base_extents[dim]
-        pad = schedule.loop_padding.get(dim, 1)
-        return ext.padded(pad)
+        return op.loop_extents[position[dim]].padded(
+            schedule.loop_padding.get(dim, 1))
 
-    def register_table(name: str, table: np.ndarray) -> str:
-        aux[name] = np.asarray(table, dtype=np.int64)
+    def loop_table(name: str, dim: Dim, tile: int = 1) -> str:
+        """Register the (tiled) loop-padded extent of ``dim`` as ``name``."""
+        i = position[dim]
+        run(lambda p: p.put_extent(name, p.loop_extent(i), tile))
         return name
 
-    def count_bound(dim: Dim, name: str, value: int) -> BoundSpec:
-        """A constant bound; one derived from the governing extent (the
-        instance count) is also published in ``aux`` under ``name``."""
+    def loop_bound(dim: Dim, table_name: str, count_name: str,
+                   tile: int = 1) -> BoundSpec:
+        """The bound ``ceil(extent(dim) / tile)`` of a loop or guard; a
+        constant derived from the governing extent (the instance count)
+        is also published in ``aux``."""
+        ext = padded_loop_extent(dim)
+        if not ext.is_constant:
+            return BoundSpec.table(loop_table(table_name, dim, tile),
+                                   ext.deps[0])
+        value = (int(ext()) + tile - 1) // tile
         if dim is op.dims[0]:
-            return BoundSpec.const(value, register_table(name, value))
+            return BoundSpec.const(value, loop_table(count_name, dim, tile))
         return BoundSpec.const(value)
 
     # ---- build loop specs -------------------------------------------------
@@ -260,21 +375,24 @@ def lower_schedule(
                 remap_name = f"remap_{dim.name}"
         if dim in fuse_by_fused:
             fuse = fuse_by_fused[dim]
-            inner_ext = padded_loop_extent(fuse.inner)
-            kind_, value, governing = materialise_extent(inner_ext, gov_count)
-            if kind_ == "const":
-                lengths = np.full(gov_count, value, dtype=np.int64)
-            else:
-                lengths = value
-            maps = build_fusion_maps(lengths, pad=1)
             map_name = f"fuse_{fuse.outer.name}_{fuse.inner.name}"
-            register_table(f"{map_name}_ffo", maps.ffo)
-            register_table(f"{map_name}_ffi", maps.ffi)
-            register_table(f"{map_name}_row", maps.foif_row)
-            bound = BoundSpec.const(maps.fused_extent, register_table(
-                f"{map_name}_extent", maps.fused_extent))
+
+            def fusion_maps(p: _Prelude, i=position[fuse.inner],
+                            map_name=map_name) -> None:
+                lengths = materialise_extent(p.loop_extent(i), p.gov_count)[1]
+                if not isinstance(lengths, np.ndarray):
+                    lengths = np.full(p.gov_count, lengths, dtype=np.int64)
+                maps = build_fusion_maps(lengths, pad=1)
+                p.put(f"{map_name}_ffo", maps.ffo)
+                p.put(f"{map_name}_ffi", maps.ffi)
+                p.put(f"{map_name}_row", maps.foif_row)
+                p.put(f"{map_name}_extent", maps.fused_extent)
+
+            run(fusion_maps)
             spec = LoopSpec(
-                dim=dim, var=var_of(dim), bound=bound, kind=LoopKind.FUSED,
+                dim=dim, var=var_of(dim), kind=LoopKind.FUSED,
+                bound=BoundSpec.const(int(aux[f"{map_name}_extent"]),
+                                      f"{map_name}_extent"),
                 annotation=ann,
                 fusion=FusionSpec(map_name=map_name, outer_dim=fuse.outer,
                                   inner_dim=fuse.inner),
@@ -287,19 +405,12 @@ def lower_schedule(
 
         if dim in split_by_outer:
             split = split_by_outer[dim]
-            orig_ext = padded_loop_extent(split.original)
-            kind_, value, governing = materialise_extent(orig_ext, gov_count)
-            if kind_ == "const":
-                bound = count_bound(split.original, f"tiles_{split.original.name}",
-                                    (value + split.factor - 1) // split.factor)
-                loop_kind = LoopKind.CONSTANT
-            else:
-                tiles = (value + split.factor - 1) // split.factor
-                name = register_table(f"tiles_{split.original.name}", tiles)
-                bound = BoundSpec.table(name, governing)
-                loop_kind = LoopKind.VARIABLE
+            name = split.original.name
+            bound = loop_bound(split.original, f"tiles_{name}",
+                               f"tiles_{name}", split.factor)
             loops.append(LoopSpec(dim=dim, var=var_of(dim), bound=bound,
-                                  kind=loop_kind, annotation=ann,
+                                  kind=LoopKind.CONSTANT if bound.is_const
+                                  else LoopKind.VARIABLE, annotation=ann,
                                   remap_name=remap_name,
                                   split=SplitLink(original=split.original,
                                                   outer=split.outer,
@@ -311,27 +422,26 @@ def lower_schedule(
         if dim in split_by_inner:
             split = split_by_inner[dim]
             orig_ext = padded_loop_extent(split.original)
-            bound = BoundSpec.const(split.factor)
             guard: Optional[GuardSpec] = None
             pad = schedule.loop_padding.get(split.original, 1)
-            kind_, value, governing = materialise_extent(orig_ext, gov_count)
             needs_guard = True
-            if (kind_ == "const" and value % split.factor == 0
+            # (The instance count is not structure: a split of the
+            # governing loop keeps its guard whatever the count.)
+            if (orig_ext.is_constant and int(orig_ext()) % split.factor == 0
                     and split.original is not op.dims[0]):
                 needs_guard = False
             if pad % split.factor == 0 and pad >= split.factor:
                 needs_guard = False
             if needs_guard:
-                if kind_ == "const":
-                    guard_bound = count_bound(
-                        split.original, f"count_{split.original.name}", value)
-                else:
-                    name = register_table(f"len_{split.original.name}", value)
-                    guard_bound = BoundSpec.table(name, governing)
+                name = split.original.name
                 guard = GuardSpec(outer_var_dim=split.outer,
                                   inner_var_dim=split.inner,
-                                  factor=split.factor, bound=guard_bound)
-            loops.append(LoopSpec(dim=dim, var=var_of(dim), bound=bound,
+                                  factor=split.factor,
+                                  bound=loop_bound(split.original,
+                                                   f"len_{name}",
+                                                   f"count_{name}"))
+            loops.append(LoopSpec(dim=dim, var=var_of(dim),
+                                  bound=BoundSpec.const(split.factor),
                                   kind=LoopKind.CONSTANT, annotation=ann,
                                   guard=guard, remap_name=remap_name,
                                   split=SplitLink(original=split.original,
@@ -345,62 +455,72 @@ def lower_schedule(
             continue
 
         # An original, untransformed loop.
-        ext = padded_loop_extent(dim)
-        kind_, value, governing = materialise_extent(ext, gov_count)
-        if kind_ == "const":
-            bound = count_bound(dim, f"count_{dim.name}", value)
-            loop_kind = LoopKind.CONSTANT
-        else:
-            name = register_table(f"len_{dim.name}", value)
-            bound = BoundSpec.table(name, governing)
-            loop_kind = LoopKind.VARIABLE
+        bound = loop_bound(dim, f"len_{dim.name}", f"count_{dim.name}")
         loops.append(LoopSpec(dim=dim, var=var_of(dim), bound=bound,
-                              kind=loop_kind, annotation=ann,
+                              kind=LoopKind.CONSTANT if bound.is_const
+                              else LoopKind.VARIABLE, annotation=ann,
                               remap_name=remap_name))
         dim_recovery[dim] = ("loop", var_of(dim))
 
     # ---- thread remapping permutations -------------------------------------
-    for remap in schedule.remaps:
+    for k, remap in enumerate(schedule.remaps):
         loop = next((l for l in loops if l.dim is remap.dim), None)
         if loop is None:
             raise LoweringError(f"thread remap refers to unknown loop {remap.dim.name}")
         # Workload of each iteration: total inner work governed by it if any
         # vloop depends on this dim, else uniform.
-        workloads = np.ones(
-            loop.bound.value if loop.bound.is_const else aux[loop.bound.table_name].size,
-            dtype=np.int64,
-        )
-        for d, ext in base_extents.items():
-            if ext.deps and ext.deps[0] is remap.dim:
-                kind_, value, _ = materialise_extent(ext, gov_count)
-                if kind_ == "table":
-                    workloads = workloads * value
-        perm = remap.permutation(workloads)
-        aux[f"remap_{remap.dim.name}"] = perm
+        governed = [i for i, ext in enumerate(op.loop_extents)
+                    if ext.deps and ext.deps[0] is remap.dim]
+
+        def permutation(p: _Prelude, k=k, bound=loop.bound, governed=governed,
+                        name=f"remap_{remap.dim.name}") -> None:
+            if not bound.is_const:
+                n = p.aux[bound.table_name].size
+            elif bound.table_name:
+                n = int(p.aux[bound.table_name])
+            else:
+                n = bound.value
+            workloads = np.ones(n, dtype=np.int64)
+            for i in governed:
+                workloads = workloads * materialise_extent(
+                    p.op.loop_extents[i], p.gov_count)[1]
+            p.aux[name] = p.schedule.remaps[k].permutation(workloads)
+
+        run(permutation)
 
     # ---- reduction bounds ---------------------------------------------------
     reduction_bounds: Dict[Dim, BoundSpec] = {}
-    for red in reductions_in(op.body):
-        for axis in red.axes:
-            kind_, value, governing = materialise_extent(axis.extent, gov_count)
-            if kind_ == "const":
-                reduction_bounds[axis.dim] = BoundSpec.const(value)
-            else:
-                name = register_table(f"rlen_{axis.dim.name}", value)
-                reduction_bounds[axis.dim] = BoundSpec.table(name, governing)
+    axes = [axis for red in reductions_in(op.body) for axis in red.axes]
+    for k, axis in enumerate(axes):
+        if axis.extent.is_constant:
+            reduction_bounds[axis.dim] = BoundSpec.const(int(axis.extent()))
+        else:
+            name = f"rlen_{axis.dim.name}"
+            run(lambda p, k=k, name=name: p.put_extent(name, p.axis_extent(k)))
+            reduction_bounds[axis.dim] = BoundSpec.table(
+                name, axis.extent.deps[0])
 
     # ---- tensor plans --------------------------------------------------------
-    input_layouts = dict(input_layouts or {})
 
-    def plan_for(spec: TensorSpec, layout: RaggedLayout, prefix: str) -> TensorPlan:
+    def plan_for(spec: TensorSpec, key: Optional[str], prefix: str,
+                 make_layout: Callable[[_Prelude], RaggedLayout]) -> TensorPlan:
+        row_name = f"{prefix}_{spec.name}_row"
+        stride_name = f"{prefix}_{spec.name}_strides"
+        shape_name = f"{prefix}_{spec.name}_shapes"
+
+        def bind_layout(p: _Prelude) -> None:
+            layout = p.layouts[key] = make_layout(p)
+            if layout.is_ragged:
+                layout_aux = layout.build_aux()
+                p.aux[row_name] = layout_aux.row_offsets
+                p.aux[stride_name] = layout_aux.slice_strides
+                p.aux[shape_name] = layout_aux.slice_shapes
+                for col, ext in enumerate(layout.extents[1:]):
+                    p.extents[shape_name, col] = ext
+
+        run(bind_layout)
+        layout = p.layouts[key]
         if layout.is_ragged:
-            layout_aux = layout.build_aux()
-            row_name = f"{prefix}_{spec.name}_row"
-            stride_name = f"{prefix}_{spec.name}_strides"
-            shape_name = f"{prefix}_{spec.name}_shapes"
-            aux[row_name] = layout_aux.row_offsets
-            aux[stride_name] = layout_aux.slice_strides
-            aux[shape_name] = layout_aux.slice_shapes
             return TensorPlan(spec=spec, layout=layout, row_name=row_name,
                               stride_name=stride_name, shape_name=shape_name)
         shape = layout.dense_shape()
@@ -411,23 +531,35 @@ def lower_schedule(
                           dense_strides=tuple(strides))
 
     # Output layout: storage extents + storage padding (+ dim fusion).
-    output_layout = RaggedLayout(op.dims, op.storage_extents,
-                                 storage_padding=dict(schedule.storage_padding))
-    output_dims_fused = False
+    fused_dims = None
     if schedule.dim_fusions:
         outer_d, inner_d = schedule.dim_fusions[0]
-        output_layout = output_layout.fuse_dims(outer_d, inner_d)
-        output_dims_fused = True
-    output_plan = plan_for(op.output, output_layout, "out")
+        fused_dims = (position[outer_d], position[inner_d])
 
-    input_plans: Dict[str, TensorPlan] = {}
-    for spec in op.inputs:
-        if spec.name in input_layouts:
-            layout = input_layouts[spec.name]
-        else:
-            padding = schedule.input_storage_padding.get(spec.name)
-            layout = RaggedLayout(spec.dims, spec.extents, storage_padding=padding)
-        input_plans[spec.name] = plan_for(spec, layout, "in")
+    def output_layout(p: _Prelude) -> RaggedLayout:
+        layout = RaggedLayout(p.op.dims, p.op.storage_extents,
+                              storage_padding=dict(p.schedule.storage_padding))
+        if fused_dims is not None:
+            layout = layout.fuse_dims(p.op.dims[fused_dims[0]],
+                                      p.op.dims[fused_dims[1]])
+        return layout
+
+    output_plan = plan_for(op.output, None, "out", output_layout)
+
+    def input_layout(j: int) -> Callable[[_Prelude], RaggedLayout]:
+        def make(p: _Prelude) -> RaggedLayout:
+            spec = p.op.inputs[j]
+            layout = p.input_layouts.get(spec.name)
+            if layout is None:
+                layout = RaggedLayout(
+                    spec.dims, spec.extents,
+                    storage_padding=p.schedule.input_storage_padding.get(
+                        spec.name))
+            return layout
+        return make
+
+    input_plans = {spec.name: plan_for(spec, spec.name, "in", input_layout(j))
+                   for j, spec in enumerate(op.inputs)}
 
     return LoweredKernel(
         name=op.name,
@@ -440,5 +572,7 @@ def lower_schedule(
         aux_arrays=aux,
         reduction_bounds=reduction_bounds,
         hoist_loads=schedule.hoist_loads,
-        output_dims_fused=output_dims_fused,
+        output_dims_fused=fused_dims is not None,
+        extents=p.extents,
+        prelude=steps,
     )

@@ -111,16 +111,22 @@ class RaggedLayout:
             if mult <= 0:
                 raise StorageError(f"padding multiple must be positive, got {mult}")
         self.base_extents: Tuple[Extent, ...] = tuple(raw_extents)
-        self.extents: Tuple[Extent, ...] = tuple(
-            ext.padded(self.storage_padding.get(d, 1))
-            for d, ext in zip(self.dims, raw_extents)
-        )
-        self._is_ragged = any(not e.is_constant for e in self.extents)
+        self.extents: Tuple[Extent, ...] = self.base_extents \
+            if not self.storage_padding else tuple(
+                ext.padded(self.storage_padding.get(d, 1))
+                for d, ext in zip(self.dims, raw_extents))
+        # The common shape -- a cdim governing every vdim -- is valid by
+        # construction; anything else goes to the dimension graph, which
+        # names the violation.
         outer = self.dims[0] if self.dims else None
-        if not (self.dims and self.extents[0].is_constant and all(
-                e.is_constant or e.deps == (outer,) for e in self.extents)):
-            # Not the common, valid-by-construction shape (a cdim governing
-            # every vdim): let the dimension graph name the violation.
+        valid = bool(self.dims) and not self.extents[0].deps
+        self._is_ragged = False
+        for ext in self.extents:
+            deps = ext.deps
+            if deps:
+                self._is_ragged = True
+                valid = valid and len(deps) == 1 and deps[0] is outer
+        if not valid:
             DimensionGraph.from_layout(self.dims, self.extents)
             self._validate_prototype_restriction()
         self._aux: Optional[LayoutAux] = None
