@@ -1,6 +1,6 @@
 """Continuous-batching serving benchmark: signature reuse and stacked arenas.
 
-Two serving-scale claims of the program runtime are measured here:
+Three serving-scale claims of the program runtime are measured here:
 
 * **Throughput vs bucket tolerance.**  A stream of individual ragged
   requests is drained through the :class:`repro.serving.BatchScheduler`
@@ -10,6 +10,12 @@ Two serving-scale claims of the program runtime are measured here:
   kernels, arena plan, prelude -- is reused instead of rebuilt; the
   steady-state (warm) drain shows the benefit.
 
+* **Structure reuse.**  A kernel is generated once per *structure*; a
+  never-seen raggedness signature only pays the prelude.  Draining 60
+  exact-length batches (50+ distinct signatures, several batch sizes)
+  from a cold process table generates the 7 kernels of the masked SDPA
+  chain once -- shared by both layers -- and nothing else.
+
 * **Arena savings vs stack depth.**  An N-layer encoder declared as one
   program lets the planner's liveness span every layer: layer k+1 reuses
   layer k's dead slabs, so peak intermediate bytes stay near one layer's
@@ -18,8 +24,9 @@ Two serving-scale claims of the program runtime are measured here:
 Writes ``benchmarks/results/bench_serving.{txt,json}``.  With ``--smoke``
 a reduced problem runs and the headline claims are asserted: scheduler
 outputs bit-identical to direct ``Session.run`` over the same batch rows,
-at least one signature-cache hit, stacked arena strictly below the sum of
-per-layer plans, zero vector-backend fallbacks.
+at least one signature-cache hit, no more kernels generated than there
+are structures, stacked arena strictly below the sum of per-layer plans,
+zero vector-backend fallbacks.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import time
 import numpy as np
 
 from repro.analysis.memory import intermediate_memory_report
+from repro.core.codegen import clear_structures
 from repro.core.executor import Executor
 from repro.core.session import Session
 from repro.models.config import TransformerConfig
@@ -41,6 +49,9 @@ from harness import format_row, write_json_result, write_result
 
 TOLERANCES = (1, 2, 4, 8)
 STACK_DEPTHS = (1, 2, 4)
+#: QK^T, mask add, row max, exp, row sum, normalise, AttnV: the kernel
+#: structures of a masked encoder layer (every layer has the same ones).
+MASKED_LAYER_STRUCTURES = 7
 
 
 def _request_stream(num_requests: int, config: TransformerConfig,
@@ -49,6 +60,23 @@ def _request_stream(num_requests: int, config: TransformerConfig,
     lengths = rng.integers(4, 33, size=num_requests)
     return [rng.standard_normal((int(n), config.hidden_size))
             .astype(np.float32) for n in lengths]
+
+
+def structure_reuse(config: TransformerConfig, n_layers: int) -> dict:
+    """Drain 60 exact-length batches on a cold process table and report
+    what was generated against what was merely instantiated."""
+    clear_structures()
+    session = Session(executor=Executor(backend="vector"))
+    scheduler = BatchScheduler(
+        EncoderWeights.random(config, seed=1), config, session=session,
+        masked=True, n_layers=n_layers, max_batch_size=4, bucket_tolerance=1)
+    scheduler.submit_many(_request_stream(238, config, seed=3))
+    scheduler.drain()
+    codegen = session.stats()["codegen"]
+    return {"distinct_signatures": scheduler.stats()["distinct_signatures"],
+            **{key: codegen[key] for key in (
+                "structures_generated", "structure_hits", "prelude_builds",
+                "lower_count", "fallbacks")}}
 
 
 def run_benchmark(smoke: bool = False) -> dict:
@@ -130,6 +158,13 @@ def run_benchmark(smoke: bool = False) -> dict:
              f"{entry['warm_tokens_per_s']:.0f}"],
             widths))
 
+    reuse = payload["structure_reuse"] = structure_reuse(config, n_layers)
+    rows.append("")
+    rows.append(f"structure reuse: {reuse['distinct_signatures']} distinct "
+                f"signatures -> {reuse['prelude_builds']} kernel instances, "
+                f"{reuse['structures_generated']} kernels generated "
+                f"({reuse['structure_hits']} structure hits)")
+
     rows.append("")
     stack_widths = [8, 12, 16, 14, 12]
     rows.append(format_row(["layers", "arena KiB", "per-layer sum KiB",
@@ -173,14 +208,22 @@ def main(argv=None) -> int:
         assert cold_hits == sorted(cold_hits), (
             f"cold signature hits not monotone in bucket tolerance: "
             f"{cold_hits}")
+        reuse = payload["structure_reuse"]
+        assert reuse["distinct_signatures"] >= 50, reuse
+        assert reuse["structures_generated"] <= MASKED_LAYER_STRUCTURES, (
+            f"{reuse['structures_generated']} kernels generated for "
+            f"{MASKED_LAYER_STRUCTURES} structures: something is keyed by "
+            "the lengths")
+        assert reuse["fallbacks"] == 0, reuse
         for depth in STACK_DEPTHS[1:]:
             report = payload["stack_arena"][str(depth)]
             assert report["arena_bytes"] < report["per_layer_sum_bytes"], (
                 f"stacked {depth}-layer arena not below the sum of "
                 "per-layer plans")
         print("smoke checks passed: bit-identical demux, monotone "
-              "signature reuse, >=1 cache hit, stacked arena < sum of "
-              "per-layer plans, zero fallbacks")
+              "signature reuse, >=1 cache hit, kernels generated <= "
+              "structures, stacked arena < sum of per-layer plans, zero "
+              "fallbacks")
     return 0
 
 

@@ -262,6 +262,9 @@ class AOTCache:
 
     def __init__(self, root: Optional[os.PathLike] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        #: key -> the kernels already rebuilt from (or stored under) it:
+        #: a structure is read from disk once per process, not per batch
+        self._rebuilt: Dict[str, List[GeneratedKernel]] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -315,10 +318,15 @@ class AOTCache:
              ) -> Optional[GeneratedKernel]:
         """Fetch and rebuild the kernel of structure ``key`` whose recorded
         decisions ``holds`` confirms, or ``None`` on any miss/failure."""
+        rebuilt = self._rebuilt.setdefault(key, [])
         try:
-            variant = next((v for v in self._read(key)
-                            if holds(v["decisions"])), None)
-            result = None if variant is None else self._rebuild(variant)
+            result = next((g for g in rebuilt if holds(g.decisions)), None)
+            if result is None:
+                variant = next((v for v in self._read(key)
+                                if holds(v["decisions"])), None)
+                if variant is not None:
+                    result = self._rebuild(variant)
+                    rebuilt.append(result)
         except Exception as exc:
             self.misses += 1
             _LOG.warning(
@@ -361,6 +369,7 @@ class AOTCache:
         except Exception:
             self.store_failures += 1
             return False
+        self._rebuilt.setdefault(key, []).append(generated)
         self.stores += 1
         return True
 

@@ -6,12 +6,13 @@ anything executes and is shared across the whole model, so *all* auxiliary
 work -- kernel lowering and code generation, prelude arrays, buffer
 planning and allocation -- is hoisted out of the per-batch path:
 
-* :meth:`Session.compile` lowers every kernel node of a
-  :class:`~repro.core.program.Program` through the executor's codegen
-  backend (LRU-cached per program), plans the intermediate buffers with
-  the :mod:`~repro.core.planner` liveness/arena pass, and binds them to
-  the session's arena (one set of slabs shared by every cached program:
-  no intermediate outlives a run);
+* :meth:`Session.compile` builds a kernel instance for every kernel node
+  of a :class:`~repro.core.program.Program` through the executor (the
+  kernels themselves are generated once per structure, process-wide; a
+  new raggedness signature only pays their preludes), plans the
+  intermediate buffers with the :mod:`~repro.core.planner` liveness/arena
+  pass, and binds them to the session's arena (one set of slabs shared by
+  every cached program: no intermediate outlives a run);
 * :meth:`Session.run` then executes repeated mini-batches with a single
   flat dispatch loop over prebuilt buffer tables -- no per-op output
   allocation, no per-op schedule lookups, no per-op report objects.
@@ -637,9 +638,12 @@ class Session:
         self.prelude_memo_stats: Dict[str, int] = {"hits": 0, "misses": 0}
         self.program_compiles = 0
         self.program_cache_hits = 0
-        #: compiles that actually lowered at least one kernel vs compiles
-        #: served entirely from the persistent AOT disk cache.
+        #: compiles that built at least one kernel instance themselves --
+        #: of which those that generated no kernel (every structure was
+        #: known: only preludes were built) -- vs compiles served entirely
+        #: from the persistent AOT disk cache.
         self.cold_compiles = 0
+        self.prelude_only_compiles = 0
         self.disk_hit_compiles = 0
         self.run_count = 0
         #: per-raggedness-signature compiled-program hit/miss counters,
@@ -691,7 +695,10 @@ class Session:
         counts accumulate in :attr:`signature_stats`.  A program-cache
         miss whose every kernel was served from the persistent AOT disk
         cache (zero lowers) still counts as a signature *hit* -- the
-        expensive work was reused, just from a previous process.
+        expensive work was reused, just from a previous process.  A miss
+        that finds every kernel structure in the process-wide table and
+        only builds preludes stays a signature miss (the batch was never
+        seen) and is counted in ``prelude_only_compiles``.
         """
         entry = self._programs.get(program.uid)
         if entry is not None:
@@ -716,6 +723,7 @@ class Session:
                 fuse = tuned_fuse
         lowers_before = self.executor.lower_count
         disk_before = self.executor.disk_hits
+        generated_before = self.executor.structures_generated
         compiled = CompiledProgram(program, self.executor,
                                    inplace=self.inplace, fuse=fuse,
                                    slab_buffers=self._arena_slabs,
@@ -730,6 +738,8 @@ class Session:
         aot_warm = lowered == 0 and from_disk > 0
         if lowered > 0:
             self.cold_compiles += 1
+            if self.executor.structures_generated == generated_before:
+                self.prelude_only_compiles += 1
         elif aot_warm:
             self.disk_hit_compiles += 1
         if signature is not None:
@@ -972,6 +982,7 @@ class Session:
         self.program_compiles = 0
         self.program_cache_hits = 0
         self.cold_compiles = 0
+        self.prelude_only_compiles = 0
         self.disk_hit_compiles = 0
         self.run_count = 0
         self.signature_stats.clear()
@@ -1020,6 +1031,7 @@ class Session:
             "program_compiles": self.program_compiles,
             "program_cache_hits": self.program_cache_hits,
             "cold_compiles": self.cold_compiles,
+            "prelude_only_compiles": self.prelude_only_compiles,
             "disk_hits": self.disk_hit_compiles,
             "runs": self.run_count,
             "cached_programs": len(self._programs),

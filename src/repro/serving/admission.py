@@ -38,6 +38,7 @@ front end cannot.  This module grows the serving layer three ways:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Dict, List
 
 from repro.serving.queue import Request, RequestQueue
@@ -245,10 +246,11 @@ class LatencyHistogram:
 
     Bucket edges are log-spaced between ``min_s`` and ``max_s``;
     everything below the first edge lands in bucket 0, everything above
-    the last in the final bucket.  Percentiles are reported as the upper
-    edge of the bucket where the cumulative count crosses the quantile
-    -- an upper bound with bounded relative error, at O(buckets) memory
-    however many requests are recorded.
+    the last in the final bucket.  Percentiles are interpolated inside
+    the bucket where the cumulative count crosses the quantile (never
+    beyond the largest value recorded) -- an estimate off by at most one
+    bucket width, at O(buckets) memory however many requests are
+    recorded.
     """
 
     def __init__(self, min_s: float = 1e-5, max_s: float = 1e4,
@@ -272,19 +274,8 @@ class LatencyHistogram:
         value = float(value)
         if value < 0:
             value = 0.0
-        lo, hi = 0, len(self.edges) - 1
-        if value <= self.edges[0]:
-            idx = 0
-        elif value > self.edges[-1]:
-            idx = len(self.counts) - 1
-        else:
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if value <= self.edges[mid]:
-                    hi = mid
-                else:
-                    lo = mid
-            idx = hi
+        # Bucket i holds (edges[i-1], edges[i]]; the last also the overflow.
+        idx = min(bisect_left(self.edges, value), len(self.counts) - 1)
         self.counts[idx] += 1
         self.count += 1
         self.total += value
@@ -292,18 +283,21 @@ class LatencyHistogram:
             self.max_value = value
 
     def percentile(self, q: float) -> float:
-        """Upper-bound estimate of the ``q``-quantile (``q`` in [0, 1])."""
+        """Estimate of the ``q``-quantile (``q`` in [0, 1]): the crossing
+        bucket's share of the count, laid linearly between its edges."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"q must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
         threshold = q * self.count
         seen = 0
         for idx, count in enumerate(self.counts):
-            seen += count
-            if seen >= threshold:
-                return min(self.edges[min(idx, len(self.edges) - 1)],
+            if count and seen + count >= threshold:
+                lo = self.edges[idx - 1] if idx else 0.0
+                hi = self.edges[idx]
+                if idx == len(self.counts) - 1:     # holds the overflow
+                    hi = max(hi, self.max_value)
+                return min(lo + (hi - lo) * (threshold - seen) / count,
                            self.max_value)
+            seen += count
         return self.max_value
 
     def summary(self) -> Dict[str, float]:

@@ -298,7 +298,7 @@ _CHILD = textwrap.dedent("""
     cfg = TransformerConfig(hidden_size=16, num_heads=2, head_size=8,
                             ff_size=32, num_layers=2, loop_pad=4, bulk_pad=8,
                             attention_tile=8)
-    lengths = (5, 3, 7, 2)
+    lengths = tuple(int(n) for n in sys.argv[3].split(","))
     w = EncoderWeights.random(cfg, seed=0)
     program = build_encoder_program(lengths, w, cfg, masked=True)
     session = Session(backend="vector", disk_cache=sys.argv[1], fuse=True)
@@ -307,6 +307,9 @@ _CHILD = textwrap.dedent("""
         .astype(np.float32)
     out = session.run(program, {"tokens": tokens}, signature=lengths)
     print("LOWERS", session.executor.lower_count)
+    # (fused regions are emitted per process: only kernels are persisted)
+    print("GENERATED", session.executor.structures_generated
+          - session.executor.fused_regions)
     np.save(sys.argv[2], np.asarray(out["out_tokens"]))
 """)
 
@@ -317,22 +320,31 @@ class TestCrossProcessWarmCache:
             os.path.abspath(__file__))), "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        lowers = []
-        outputs = []
-        for i in range(2):
-            out_npy = tmp_path / f"out{i}.npy"
+        def child(cache, lengths, tag):
+            out_npy = tmp_path / f"out-{tag}.npy"
             result = subprocess.run(
-                [sys.executable, "-c", _CHILD, str(tmp_path / "cache"),
-                 str(out_npy)],
+                [sys.executable, "-c", _CHILD, str(tmp_path / cache),
+                 str(out_npy), ",".join(map(str, lengths))],
                 env=env, capture_output=True, text=True, timeout=120)
             assert result.returncode == 0, result.stderr
-            line = [ln for ln in result.stdout.splitlines()
-                    if ln.startswith("LOWERS ")][0]
-            lowers.append(int(line.split()[1]))
-            outputs.append(np.load(out_npy))
-        assert lowers[0] > 0  # cold process really lowered
-        assert lowers[1] == 0  # warm process served fully from disk
-        assert np.array_equal(outputs[0], outputs[1])
+            counts = dict(ln.split() for ln in result.stdout.splitlines()
+                          if ln.startswith(("LOWERS ", "GENERATED ")))
+            return (int(counts["LOWERS"]), int(counts["GENERATED"]),
+                    np.load(out_npy))
+
+        seen, never_seen = (5, 3, 7, 2), (4, 9, 1, 6, 6)
+        cold = child("cache", seen, "cold")
+        warm = child("cache", seen, "warm")
+        assert cold[0] > 0 and cold[1] > 0  # cold process really compiled
+        assert warm[:2] == (0, 0)  # warm process served fully from disk
+        assert np.array_equal(cold[2], warm[2])
+        # The disk holds kernel *structures*: a length set no process ever
+        # stored (another batch size, even) is served from it too, and
+        # computes what a from-scratch compile of it computes.
+        other = child("cache", never_seen, "other")
+        scratch = child("empty-cache", never_seen, "scratch")
+        assert other[:2] == (0, 0) and scratch[1] > 0
+        assert np.array_equal(other[2], scratch[2])
 
 
 # ---------------------------------------------------------------------------

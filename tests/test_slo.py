@@ -570,6 +570,41 @@ class TestObservability:
         with pytest.raises(ValueError):
             hist.percentile(1.5)
 
+    def test_histogram_percentiles_interpolate_inside_the_bucket(self):
+        # Latencies of one priority class routinely share a log bucket
+        # (8 per decade: edges 33 % apart); reporting the bucket's upper
+        # edge made p50 == p99 there.  Interpolation must keep the
+        # quantiles apart and within one bucket width of the exact value.
+        rng = np.random.default_rng(0)
+        values = np.concatenate([rng.uniform(0.0102, 0.0130, 900),
+                                 rng.uniform(0.02, 0.2, 100)])
+        hist = LatencyHistogram()
+        for v in values:
+            hist.record(float(v))
+        # 90 % of the mass sits inside one bucket.
+        lo = max(e for e in hist.edges if e <= values.min())
+        assert sum(lo < v <= lo * 10 ** 0.125 for v in values) >= 900
+        got = [hist.percentile(q) for q in (0.50, 0.90, 0.99)]
+        assert got[0] < got[1] < got[2]
+        for estimate, q in zip(got, (50, 90, 99)):
+            exact = float(np.percentile(values, q))
+            idx = next(i for i, e in enumerate(hist.edges) if exact <= e)
+            width = hist.edges[idx] - hist.edges[idx - 1]
+            assert abs(estimate - exact) <= width, (q, estimate, exact)
+        assert hist.percentile(1.0) == pytest.approx(values.max())
+        assert hist.percentile(0.0) <= values.min()
+
+    def test_histogram_record_matches_the_bucket_definition(self):
+        hist = LatencyHistogram(min_s=1e-3, max_s=1.0, buckets_per_decade=2)
+        for v in (-1.0, 0.0, 1e-3, 1.0000001e-3, hist.edges[3], 1.0, 50.0):
+            hist.record(v)
+        # (edges[i-1], edges[i]] per bucket; underflow in the first,
+        # overflow in the last.
+        assert hist.counts[0] == 3 and hist.counts[1] == 1
+        assert hist.counts[3] == 1 and hist.counts[-1] == 2
+        assert sum(hist.counts) == hist.count == 7
+        assert hist.percentile(1.0) == 50.0
+
     def test_histogram_edges_validation(self):
         with pytest.raises(ValueError):
             LatencyHistogram(min_s=0.0)
