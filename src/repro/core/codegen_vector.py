@@ -334,10 +334,11 @@ def _same_extent(a: Tuple, b: Tuple,
     """Whether two table references are known to agree without looking:
     both were materialised from one extent (the same length function
     under the same padding)."""
-    ea = kernels[a[0]].extents.get(a[2] if a[1] == "bound" and a[3] == 1
-                                   else a[2:] if a[1] == "shape" else None)
-    eb = kernels[b[0]].extents.get(b[2] if b[1] == "bound" and b[3] == 1
-                                   else b[2:] if b[1] == "shape" else None)
+    ea, eb = (
+        kernels[member].extents.get(
+            args[0] if kind == "bound" and args[1] == 1
+            else tuple(args) if kind == "shape" else None)
+        for member, kind, *args in (a, b))
     if ea is None or eb is None:
         return False
     return ea is eb or (

@@ -199,16 +199,8 @@ def materialise_extent(ext: Extent, gov_count: int) -> Tuple[str, Union[int, np.
     if ext.is_constant:
         return ("const", int(ext()), None)
     governing = ext.deps[0]
-    # One table per (length function, padding) and mini-batch: kernels
-    # and layers share it through the extent's prelude.
-    mult, base = (ext.multiple, ext.base) \
-        if isinstance(ext, PaddedExtent) else (1, ext)
-    memo = base.prelude if isinstance(base, VarExtent) else {}
-    table = memo.get(("table", mult, gov_count))
-    if table is None:
-        idx = np.arange(gov_count, dtype=np.int64)
-        table = np.asarray(ext(idx), dtype=np.int64)
-        memo["table", mult, gov_count] = table
+    idx = np.arange(gov_count, dtype=np.int64)
+    table = np.asarray(ext(idx), dtype=np.int64)
     return ("table", table, governing)
 
 

@@ -118,15 +118,9 @@ class RaggedLayout:
         # The common shape -- a cdim governing every vdim -- is valid by
         # construction; anything else goes to the dimension graph, which
         # names the violation.
-        outer = self.dims[0] if self.dims else None
-        valid = bool(self.dims) and not self.extents[0].deps
-        self._is_ragged = False
-        for ext in self.extents:
-            deps = ext.deps
-            if deps:
-                self._is_ragged = True
-                valid = valid and len(deps) == 1 and deps[0] is outer
-        if not valid:
+        deps = {d for ext in self.extents for d in ext.deps}
+        self._is_ragged = bool(deps)
+        if not self.dims or self.extents[0].deps or deps - {self.dims[0]}:
             DimensionGraph.from_layout(self.dims, self.extents)
             self._validate_prototype_restriction()
         self._aux: Optional[LayoutAux] = None

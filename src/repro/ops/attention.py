@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dims import Dim
-from repro.core.extents import ConstExtent, VarExtent, ceil_to
+from repro.core.extents import ConstExtent, ceil_to
 from repro.core.ir import LoopVar
 from repro.core.operator import compute, input_tensor, reduce_axis, sum_reduce
 from repro.core.ragged_tensor import RaggedTensor
