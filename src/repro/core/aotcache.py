@@ -109,11 +109,13 @@ class _Canon:
         return i
 
 
-def _extent_fp(ext: Extent, canon: _Canon) -> Tuple:
+def _extent_fp(ext: Extent, canon: _Canon, counts: bool = False) -> Tuple:
+    """One extent; a constant that ``counts`` instances is read by the
+    generated code at run time, so its value is not structure."""
     if isinstance(ext, PaddedExtent):
-        return ("pad", ext.multiple, _extent_fp(ext.base, canon))
+        return ("pad", ext.multiple, _extent_fp(ext.base, canon, counts))
     if isinstance(ext, ConstExtent):
-        return ("const", ext.value)
+        return ("const",) if counts else ("const", ext.value)
     if isinstance(ext, VarExtent):
         if ext.table is None:
             raise Uncacheable(
@@ -124,14 +126,9 @@ def _extent_fp(ext: Extent, canon: _Canon) -> Tuple:
 
 def _extents_fp(extents, canon: _Canon) -> Tuple:
     """A tensor's (or loop nest's) extents; the leading one counts
-    instances -- generated code reads it at run time -- so only its kind
-    and padding are structure."""
-    fps = [_extent_fp(e, canon) for e in extents]
-    if fps and fps[0][0] == "const":
-        fps[0] = ("const",)
-    elif fps and fps[0][0] == "pad" and fps[0][2][0] == "const":
-        fps[0] = ("pad", fps[0][1], ("const",))
-    return tuple(fps)
+    instances."""
+    return tuple(_extent_fp(e, canon, counts=i == 0)
+                 for i, e in enumerate(extents))
 
 
 def _expr_fp(expr: Expr, canon: _Canon) -> Tuple:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -128,12 +128,21 @@ class KernelStructure:
 
     lowered: Optional[LoweredKernel] = None
     kernels: Tuple[GeneratedKernel, ...] = ()
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def kernel(self, holds: Callable[[Tuple], bool],
-               ) -> Optional[GeneratedKernel]:
+               generate: Callable[[], GeneratedKernel],
+               ) -> Tuple[GeneratedKernel, bool]:
         """The kernel whose recorded decisions ``holds`` confirms for the
-        instance at hand, if one was generated."""
-        return next((g for g in self.kernels if holds(g.decisions)), None)
+        instance at hand, and whether it was there already: when none is,
+        it is generated -- once, by whichever executor asks first."""
+        with self._lock:
+            for generated in self.kernels:
+                if holds(generated.decisions):
+                    return generated, True
+            generated = generate()
+            self.kernels += (generated,)
+            return generated, False
 
 
 #: The process-wide kernel table, by structure key.  Bounded; shared by

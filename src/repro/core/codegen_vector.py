@@ -1428,10 +1428,6 @@ class VectorCodeGenerator:
                 )
         return self._fused_gather_code(access, plan)
 
-    def _check_fused_col_fits(self, plan: TensorPlan, col: int,
-                              needed: Tuple) -> bool:
-        return self._compare_fit(needed, plan, col)
-
     def _fused_gather_code(self, access: TensorAccess,
                            plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
         """Flat-gather code for one fused-mode access: the flat-buffer offset
@@ -1496,14 +1492,14 @@ class VectorCodeGenerator:
                     const_sum += c * plan.dense_strides[col]
                 continue
             if idx.dim is self.inner_fused_dim:
-                self._check_fused_col_fits(plan, col, self._fused_lengths())
+                self._compare_fit(self._fused_lengths(), plan, col)
                 code = "_ffi" if stride_code == "1" \
                     else f"(_ffi * {stride_code})"
                 parts.append(self._aligned_code(code, (self._stack_dim,),
                                                 octx_t))
             elif idx.dim is self.gov_dim:
-                self._check_fused_col_fits(
-                    plan, col, (self._member, "instances", self.map_name))
+                self._compare_fit(
+                    (self._member, "instances", self.map_name), plan, col)
                 code = "_ffo" if stride_code == "1" \
                     else f"(_ffo * {stride_code})"
                 parts.append(self._aligned_code(code, (self._stack_dim,),
@@ -1689,8 +1685,7 @@ class VectorCodeGenerator:
             em.emit(f"_nd_{safe}[{subs}] = {val}")
             return
         if out_plan.is_ragged:
-            full = [self._check_fused_col_fits(out_plan, 0,
-                                               self._fused_lengths())]
+            full = [self._compare_fit(self._fused_lengths(), out_plan, 0)]
             octx = (self._stack_dim,) + tuple(rest_dims)
             parts = [self._aligned_code(
                 f"_aux_{self._safe(out_plan.row_name)}[_ffo]",
@@ -1714,7 +1709,7 @@ class VectorCodeGenerator:
         # fused axis at position 0, matching the value's axis order.
         full = [self._compare_fit((self._member, "instances", self.map_name),
                                   out_plan, 0),
-                self._check_fused_col_fits(out_plan, 1, self._fused_lengths())]
+                self._compare_fit(self._fused_lengths(), out_plan, 1)]
         for col, dim in enumerate(rest_dims):
             full.append(self._check_index_fits(out_plan, col + 2, LoopVar(dim)))
         if not all(full):

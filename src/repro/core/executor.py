@@ -465,6 +465,7 @@ class Executor:
         lowered = lower_schedule(schedule, input_layouts=input_layouts,
                                  like=entry and entry.lowered)
         if entry is not None and entry.lowered is None:
+            # (Unlocked: racing executors store equally good loop nests.)
             entry.lowered = lowered
         disk = self.disk_cache if key is not None else None
         on_disk = disk_key(key) if disk is not None else None
@@ -498,19 +499,19 @@ class Executor:
         else ``generate`` it and remember it there.  Structures without
         an entry (callable-backed extents / remap policies) are generated
         per instance."""
-        generated = entry.kernel(holds) if entry is not None else None
-        if generated is not None:
-            self.structure_hits += 1
-            # Account the reuse like a generation: the backend's
-            # vectorized / fallback counters describe instances.
-            count = getattr(self.backend, "count", None)
-            if count is not None and generated.backend != "grouped":
-                count(generated)
+        if entry is None:
+            generated, known = generate(), False
+        else:
+            generated, known = entry.kernel(holds, generate)
+        if not known:
+            self.structures_generated += 1
             return generated
-        self.structures_generated += 1
-        generated = generate()
-        if entry is not None:
-            entry.kernels += (generated,)
+        self.structure_hits += 1
+        # Account the reuse like a generation: the backend's vectorized /
+        # fallback counters describe instances.
+        count = getattr(self.backend, "count", None)
+        if count is not None and generated.backend != "grouped":
+            count(generated)
         return generated
 
     # -- fused regions ---------------------------------------------------------

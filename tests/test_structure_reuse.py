@@ -16,6 +16,8 @@ sharing must guarantee:
   (padding strips, whole-buffer fills, a loop bound exceeding its
   storage) an instance that does not repeat A's decisions gets a kernel
   of its own, never A's;
+* **racing executors**: threads compiling on executors of their own
+  generate each structure of a cold table exactly once;
 * **anti-gaming**: after one signature of a model is compiled, never-seen
   length sets generate and byte-compile nothing and cost what an
   already-seen length set costs -- nothing is keyed by length values.
@@ -23,6 +25,8 @@ sharing must guarantee:
 
 import builtins
 import statistics
+import sys
+import threading
 import time
 
 import numpy as np
@@ -420,7 +424,49 @@ class TestDecisionFlips:
 
 
 # ---------------------------------------------------------------------------
-# (iv) nothing is keyed by length values
+# (iv) executors racing on the process-wide table
+# ---------------------------------------------------------------------------
+
+
+class TestRacingExecutors:
+    def test_each_structure_is_generated_exactly_once(self):
+        """More threads than cores, an executor each, other lengths of one
+        model, a cold table: a lost update of the shared table would
+        generate a structure twice (or lose a kernel)."""
+        batches = [[3 + i, 1 + (2 * i) % 5, 7] for i in range(8)]
+        results = [None] * len(batches)
+        barrier = threading.Barrier(len(batches))
+
+        def work(i):
+            barrier.wait(timeout=30)
+            results[i] = run_encoder(batches[i], True, False, "vector")
+
+        clear_structures()
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result is not None for result in results)
+        executors = [executor for _, _, executor in results]
+        assert sum(e.structures_generated for e in executors) == 7
+        assert sum(e.structure_hits for e in executors) \
+            == 7 * (len(batches) - 1)
+        clear_structures()
+        for lengths, (out, _, _) in zip(batches, results):
+            scratch, _, _ = run_encoder(lengths, True, False, "vector")
+            assert np.array_equal(out, scratch)
+
+
+# ---------------------------------------------------------------------------
+# (v) nothing is keyed by length values
 # ---------------------------------------------------------------------------
 
 SERVE = TransformerConfig(hidden_size=32, num_heads=2, head_size=16,
