@@ -38,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.core.codegen import clear_structures
 from repro.core.executor import Executor
 from repro.core.session import Session
 from repro.models.config import TransformerConfig
@@ -130,10 +131,11 @@ def _measure_cold_start(config, weights, lengths, n_layers, trials):
     """Cold vs warm compile wall time through the persistent AOT cache.
 
     Every session below uses a brand-new private executor (empty kernel
-    and program caches), so the warm numbers measure exactly what a
-    fresh process pays: unpickling generated kernels instead of
-    lowering + codegen.  The cross-*process* claim itself is proven by
-    ``tests/test_fusion.py`` with a real subprocess.
+    and program caches) and starts from an emptied process-wide kernel
+    table, so the warm numbers measure exactly what a fresh process
+    pays: unpickling generated kernels instead of generating them.  The
+    cross-*process* claim itself is proven by ``tests/test_fusion.py``
+    with a real subprocess.
     """
     program = build_encoder_stack_program(lengths, weights, config,
                                           masked=True, n_layers=n_layers)
@@ -141,6 +143,7 @@ def _measure_cold_start(config, weights, lengths, n_layers, trials):
     for _ in range(trials):
         cache_dir = tempfile.mkdtemp(prefix="repro-aot-bench-")
         try:
+            clear_structures()
             s_cold = Session(backend="vector", disk_cache=cache_dir,
                              fuse=True)
             t0 = time.perf_counter()
@@ -148,6 +151,7 @@ def _measure_cold_start(config, weights, lengths, n_layers, trials):
             cold_ms.append((time.perf_counter() - t0) * 1e3)
             s_cold.close()
 
+            clear_structures()
             s_warm = Session(backend="vector", disk_cache=cache_dir,
                              fuse=True)
             t0 = time.perf_counter()
