@@ -1,7 +1,7 @@
 """Persistent ahead-of-time kernel cache.
 
 The in-process kernel cache (:class:`repro.core.executor.Executor`)
-and the process-wide kernel table (:func:`repro.core.codegen.structure_kernel`)
+and the process-wide kernel table (:func:`repro.core.codegen.kernel_structure`)
 already make generating a kernel a once-per-process cost, but every fresh
 process -- each CI shard, every :class:`ProcessPoolEngine` worker, every
 cold serving replica -- re-generates every kernel from scratch.  CoRa's
@@ -42,7 +42,7 @@ import pickle
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -259,9 +259,9 @@ class AOTCache:
 
     def __init__(self, root: Optional[os.PathLike] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        #: key -> the kernels already rebuilt from (or stored under) it:
-        #: a structure is read from disk once per process, not per batch
-        self._rebuilt: Dict[str, List[GeneratedKernel]] = {}
+        #: ``(key, decisions)`` of the variants this process has read or
+        #: written: storing one of them again is a no-op, not a file read
+        self._persisted: Set[Tuple[str, Tuple]] = set()
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -314,16 +314,13 @@ class AOTCache:
     def load(self, key: str, holds: Callable[[Tuple], bool],
              ) -> Optional[GeneratedKernel]:
         """Fetch and rebuild the kernel of structure ``key`` whose recorded
-        decisions ``holds`` confirms, or ``None`` on any miss/failure."""
-        rebuilt = self._rebuilt.setdefault(key, [])
+        decisions ``holds`` confirms, or ``None`` on any miss/failure.
+        (Asked once per structure and process: the executor keeps what it
+        gets in the process-wide kernel table.)"""
         try:
-            result = next((g for g in rebuilt if holds(g.decisions)), None)
-            if result is None:
-                variant = next((v for v in self._read(key)
-                                if holds(v["decisions"])), None)
-                if variant is not None:
-                    result = self._rebuild(variant)
-                    rebuilt.append(result)
+            variant = next((v for v in self._read(key)
+                            if holds(v["decisions"])), None)
+            result = None if variant is None else self._rebuild(variant)
         except Exception as exc:
             self.misses += 1
             _LOG.warning(
@@ -335,15 +332,20 @@ class AOTCache:
             self.misses += 1
         else:
             self.hits += 1
+            self._persisted.add((key, result.decisions))
         return result
 
     def store(self, key: str, generated: GeneratedKernel) -> bool:
         """Persist a kernel atomically, next to the other decision
-        variants of its structure; ``False`` (never raise) on failure."""
+        variants of its structure; ``False`` when it is there already
+        or (never raise) on failure."""
+        if (key, generated.decisions) in self._persisted:
+            return False
         path = self._path(key)
         try:
             try:
-                variants = self._read(key)
+                variants = [v for v in self._read(key)
+                            if v["decisions"] != generated.decisions]
             except Exception:
                 variants = []       # a rejected entry is overwritten
             variants.append(self._variant(generated))
@@ -366,7 +368,7 @@ class AOTCache:
         except Exception:
             self.store_failures += 1
             return False
-        self._rebuilt.setdefault(key, []).append(generated)
+        self._persisted.add((key, generated.decisions))
         self.stores += 1
         return True
 

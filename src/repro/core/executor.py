@@ -367,13 +367,14 @@ class Executor:
     ----------
     lower_count:
         Kernel instances this executor had to build itself (cache misses
-        the disk tier did not cover).
+        whose kernel did not come from the disk tier).
     cache_hits / cache_misses:
         Kernel-cache statistics.
     prelude_builds / structure_hits / structures_generated:
         Instances built (``lower_count`` plus disk hits); how many of them
-        found their kernel in the process-wide table; how many kernels
-        this executor generated.
+        found their kernel in the process-wide table (the disk tier sits
+        behind it: a structure is read from disk once per process); how
+        many kernels this executor generated.
     """
 
     def __init__(self, device: Optional[object] = None,
@@ -473,16 +474,23 @@ class Executor:
         def holds(decisions: Tuple) -> bool:
             return decisions_hold(decisions, [lowered])
 
+        def generate() -> GeneratedKernel:
+            """A kernel the process does not have yet: from the disk tier
+            (a previous process generated it), else from the backend."""
+            generated = disk.load(on_disk, holds) if disk is not None else None
+            if generated is not None:
+                self.disk_hits += 1
+                return generated
+            self.structures_generated += 1
+            return self.backend.generate(lowered)
+
         # A disk hit leaves ``lower_count`` alone -- the zero-lowerings-
         # on-warm-start guarantee is asserted on it.
         self.prelude_builds += 1
-        generated = disk.load(on_disk, holds) if disk is not None else None
-        if generated is not None:
-            self.disk_hits += 1
-        else:
+        disk_hits = self.disk_hits
+        generated = self._shared_kernel(entry, holds, generate)
+        if self.disk_hits == disk_hits:
             self.lower_count += 1
-            generated = self._shared_kernel(
-                entry, holds, lambda: self.backend.generate(lowered))
             if disk is not None and disk.store(on_disk, generated):
                 self.disk_stores += 1
         extra, _ = bind_prelude(generated, [lowered])
@@ -500,18 +508,15 @@ class Executor:
         an entry (callable-backed extents / remap policies) are generated
         per instance."""
         if entry is None:
-            generated, known = generate(), False
-        else:
-            generated, known = entry.kernel(holds, generate)
-        if not known:
-            self.structures_generated += 1
-            return generated
-        self.structure_hits += 1
-        # Account the reuse like a generation: the backend's vectorized /
-        # fallback counters describe instances.
-        count = getattr(self.backend, "count", None)
-        if count is not None and generated.backend != "grouped":
-            count(generated)
+            return generate()
+        generated, known = entry.kernel(holds, generate)
+        if known:
+            self.structure_hits += 1
+            # Account the reuse like a generation: the backend's
+            # vectorized / fallback counters describe instances.
+            count = getattr(self.backend, "count", None)
+            if count is not None and generated.backend != "grouped":
+                count(generated)
         return generated
 
     # -- fused regions ---------------------------------------------------------
@@ -624,6 +629,7 @@ class Executor:
                         members: List[CompiledKernel]) -> GeneratedKernel:
         """Emit a fused region's kernel, or -- recording why, and under
         which decisions -- the marker of its grouped dispatch."""
+        self.structures_generated += 1
         decisions: Dict[Tuple, object] = {}
         try:
             if self.backend.name != "vector":
@@ -810,6 +816,22 @@ class Executor:
     ) -> tuple:
         """Compile and immediately execute a scheduled operator."""
         compiled = self.compile(schedule, input_layouts=input_layouts)
+        return self.run(compiled, inputs)
+
+    def run_once(
+        self,
+        schedule: Schedule,
+        inputs: Dict[str, Union[RaggedTensor, np.ndarray]],
+    ) -> tuple:
+        """Build a kernel instance, execute it and forget it.
+
+        For schedules nobody keeps: the op-by-op wrappers build theirs per
+        call, on that call's lengths, so caching them would only evict
+        reusable instances and pin every call's tables until it is their
+        turn.  The kernel still comes from the process-wide table -- a
+        repeated call pays its preludes, never a generation."""
+        with self._lock:
+            compiled = self._instantiate(schedule)
         return self.run(compiled, inputs)
 
 

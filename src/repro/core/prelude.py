@@ -147,23 +147,14 @@ def bucket_by_signature(count: int,
     if not arrays:
         return [idx]
     cols = [np.asarray(a)[:count].reshape(count, -1) for a in arrays]
-    sig = np.concatenate(cols, axis=1)
-    if count <= 256:
-        # A mini-batch: hashing the rows beats sorting them (this runs
-        # once per kernel instance, in the per-batch prelude).
-        groups: Dict[Tuple[int, ...], List[int]] = {}
-        for i, row in enumerate(sig.tolist()):
-            groups.setdefault(tuple(row), []).append(i)
-        return [np.asarray(g, dtype=np.int64) for g in groups.values()]
-    # Stable sort by signature rows, then cut at row changes.
-    order = np.lexsort(sig.T[::-1])
-    sorted_sig = sig[order]
-    new_group = np.any(sorted_sig[1:] != sorted_sig[:-1], axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], new_group)))
-    ends = np.concatenate((starts[1:], [count]))
-    buckets = [np.sort(order[s:e]) for s, e in zip(starts, ends)]
-    buckets.sort(key=lambda b: int(b[0]))
-    return buckets
+    # Hash the signature rows (dicts keep first-occurrence order).  This
+    # runs once per kernel instance, in the per-batch prelude: for a
+    # mini-batch it beats sorting the rows several times over, and stays
+    # linear in ``count``.
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for i, row in enumerate(np.concatenate(cols, axis=1).tolist()):
+        groups.setdefault(tuple(row), []).append(i)
+    return [np.asarray(g, dtype=np.int64) for g in groups.values()]
 
 
 def bulk_pad_lengths(lengths: Sequence[int], multiple: int) -> Tuple[np.ndarray, int]:

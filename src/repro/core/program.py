@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -177,18 +177,6 @@ class Program:
         self.merge_roots: frozenset = frozenset()
         self.merge_groups: Dict[str, int] = {}
         self.merge_info: Optional["MergeInfo"] = None
-        self._memo: Dict[Tuple, Any] = {}
-
-    def memoize(self, key: Tuple, build: Callable[[], Any]) -> Any:
-        """``build()`` once per program: what node builders share between
-        call sites of this graph (a mini-batch's length function, the
-        schedules of its SDPA chain in every layer).  Scoped to the graph
-        -- the same raggedness everywhere in it -- and gone with it."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
 
     # -- value declaration ---------------------------------------------------
 

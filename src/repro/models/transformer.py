@@ -68,7 +68,7 @@ from repro.ops.projection import (
     projection_launch,
     unpack_tokens,
 )
-from repro.ops.softmax import softmax_launch
+from repro.ops.softmax import RaggedBatch, softmax_launch
 from repro.substrates.costmodel import KernelLaunch, Workload
 
 
@@ -512,7 +512,7 @@ def _append_encoder_layer(
     program: Program,
     tokens: str,
     weights: EncoderWeights,
-    lengths: Sequence[int],
+    lengths: "Sequence[int] | RaggedBatch",
     config: TransformerConfig,
     masked: bool,
     prefix: str = "",
@@ -579,8 +579,8 @@ def build_encoder_program(
         f"encoder[{'masked' if masked else 'unmasked'}]"
         f"b{len(lengths)}t{total}")
     tokens = program.add_input("tokens", shape=(total, config.hidden_size))
-    out_tokens = _append_encoder_layer(program, tokens, weights, lengths,
-                                       config, masked)
+    out_tokens = _append_encoder_layer(program, tokens, weights,
+                                       RaggedBatch(lengths), config, masked)
     program.mark_output(out_tokens)
     program.recipe = ("builder", "repro.models.transformer", "encoder",
                       dict(lengths=lengths, weights=weights, config=config,
@@ -648,9 +648,10 @@ def build_encoder_stack_program(
         f"x{len(per_layer)}b{len(lengths)}t{total}")
     value = program.add_input("tokens", shape=(total, config.hidden_size))
     last = len(per_layer) - 1
+    batch = RaggedBatch(lengths)    # one length function for every layer
     for i, layer_weights in enumerate(per_layer):
         value = _append_encoder_layer(
-            program, value, layer_weights, lengths, config, masked,
+            program, value, layer_weights, batch, config, masked,
             prefix=f"L{i}.",
             out="out_tokens" if i == last else f"L{i}.out_tokens")
     program.mark_output(value)

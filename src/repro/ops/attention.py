@@ -36,9 +36,8 @@ from repro.core.tunespace import (
 )
 from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.ops.softmax import (
+    RaggedBatch,
     attention_scores_layout,
-    batch_lengths,
-    shared,
     softmax_compiled,
     softmax_slices,
 )
@@ -145,51 +144,48 @@ def random_qkv(lengths: Sequence[int], config: TransformerConfig = PAPER_BASE_CO
 # ---------------------------------------------------------------------------
 
 
-def _qkv_layout(lengths: Sequence[int], heads: int, head_size: int,
-                program: Optional["Program"] = None) -> RaggedLayout:
+def _qkv_layout(lengths: "Sequence[int] | RaggedBatch", heads: int,
+                head_size: int) -> RaggedLayout:
     """Layout of a per-sequence ``[batch, heads, s(b), head_size]`` tensor."""
-    lens, batch, seq = batch_lengths(lengths, program)
-    return shared(
-        program, ("qkv-layout", id(seq), int(heads), int(head_size)),
-        lambda: RaggedLayout(
-            [batch, Dim("head"), Dim("seq"), Dim("hd")],
-            [ConstExtent(lens.size), ConstExtent(heads), seq,
-             ConstExtent(head_size)]))
+    b = RaggedBatch.of(lengths)
+    return b.once(
+        ("qkv-layout", int(heads), int(head_size)), lambda: RaggedLayout(
+            [b.dim, Dim("head"), Dim("seq"), Dim("hd")],
+            b.extents(heads, b.seq, ConstExtent(head_size))))
 
 
-def _qkt_schedule(lengths: Sequence[int], heads: int, head_size: int,
-                  scale: Optional[float], tile: int = 0, remap: bool = False,
-                  program: Optional["Program"] = None) -> Schedule:
-    """The QK^T schedule (one object per program -> kernel-cache hits in
+def _qkt_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
+                  head_size: int, scale: Optional[float], tile: int = 0,
+                  remap: bool = False) -> Schedule:
+    """The QK^T schedule (one object per batch -> kernel-cache hits in
     every layer).  A non-zero ``tile`` splits the query-row vloop (guarded
     tail tile) and ``remap`` adds a sort-descending thread remap on the
     governing loop -- the knobs the Figure 14 AttnV variants expose, made
     tunable."""
-    lens, batch, seq = batch_lengths(lengths, program)
+    b = RaggedBatch.of(lengths)
+    batch, seq = b.dim, b.seq
 
     def build() -> Schedule:
-        bsz = int(lens.size)
         head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
+        qk_extents = b.extents(heads, seq, ConstExtent(head_size))
         q_in = input_tensor("Q", [batch, Dim("qh"), Dim("qs"), Dim("qd")],
-                            [ConstExtent(bsz), ConstExtent(heads), seq,
-                             ConstExtent(head_size)])
+                            qk_extents)
         k_in = input_tensor("K", [batch, Dim("kh"), Dim("ks"), Dim("kd")],
-                            [ConstExtent(bsz), ConstExtent(heads), seq,
-                             ConstExtent(head_size)])
+                            qk_extents)
         dax = reduce_axis(head_size, "d")
 
-        def body(b, h, i, j):
+        def body(n, h, i, j):
             scores = sum_reduce(
-                q_in[b, h, i, LoopVar(dax.dim)]
-                * k_in[b, h, j, LoopVar(dax.dim)], dax)
+                q_in[n, h, i, LoopVar(dax.dim)]
+                * k_in[n, h, j, LoopVar(dax.dim)], dax)
             return scores * float(scale) if scale is not None else scores
 
         op = compute("QKT", [batch, head, qi, kj],
-                     [ConstExtent(bsz), ConstExtent(heads), seq, seq], body)
+                     b.extents(heads, seq, seq), body)
         return _split_rows(Schedule(op), tile, remap)
 
-    return shared(program, ("qkt", id(seq), heads, head_size, scale,
-                            int(tile), bool(remap)), build)
+    return b.once(("qkt", heads, head_size, scale, int(tile), bool(remap)),
+                  build)
 
 
 def _split_rows(schedule: Schedule, tile: int, remap: bool) -> Schedule:
@@ -217,65 +213,60 @@ def qkt_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
 
     if executor is None:
         executor = shared_executor(backend)
-    lens = np.ascontiguousarray([x.shape[1] for x in q], dtype=np.int64)
+    batch = RaggedBatch([x.shape[1] for x in q])
     heads, head_size = int(q[0].shape[0]), int(q[0].shape[2])
-    bsz = int(lens.size)
-    schedule = _qkt_schedule(lens, heads, head_size,
+    schedule = _qkt_schedule(batch, heads, head_size,
                              None if scale is None else float(scale))
-    layout = _qkv_layout(lens, heads, head_size)
+    layout = _qkv_layout(batch, heads, head_size)
     inputs = {"Q": RaggedTensor.from_slices(layout, list(q)),
               "K": RaggedTensor.from_slices(layout, list(k))}
-    out, report = executor.build_and_run(schedule, inputs)
-    return [out.valid_slice(b) for b in range(bsz)], report
+    out, report = executor.run_once(schedule, inputs)
+    return [out.valid_slice(b) for b in range(len(q))], report
 
 
-def _attnv_schedule(lengths: Sequence[int], heads: int, head_size: int,
-                    tile: int = 0, remap: bool = False,
-                    program: Optional["Program"] = None) -> Schedule:
-    """The AttnV schedule (one object per program); with ``tile`` the
+def _attnv_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
+                    head_size: int, tile: int = 0, remap: bool = False,
+                    ) -> Schedule:
+    """The AttnV schedule (one object per batch); with ``tile`` the
     Figure 14 "Split" schedule: the query-row vloop is split by the tile
     size, producing a guarded inner loop for the partial tail tile (no
     loop padding), and with ``remap`` the governing loop additionally
     carries a sort-descending thread remap (heaviest sequences first)."""
-    lens, batch, seq = batch_lengths(lengths, program)
+    b = RaggedBatch.of(lengths)
+    batch, seq = b.dim, b.seq
 
     def build() -> Schedule:
-        bsz = int(lens.size)
         head, qi, hd = Dim("head"), Dim("qi"), Dim("hd")
+        v_extents = b.extents(heads, seq, ConstExtent(head_size))
         a_in = input_tensor("Attn", [batch, Dim("ah"), Dim("ai"), Dim("aj")],
-                            [ConstExtent(bsz), ConstExtent(heads), seq, seq])
+                            b.extents(heads, seq, seq))
         v_in = input_tensor("V", [batch, Dim("vh"), Dim("vs"), Dim("vd")],
-                            [ConstExtent(bsz), ConstExtent(heads), seq,
-                             ConstExtent(head_size)])
+                            v_extents)
         jax = reduce_axis(seq, "j")
-        op = compute("AttnV", [batch, head, qi, hd],
-                     [ConstExtent(bsz), ConstExtent(heads), seq,
-                      ConstExtent(head_size)],
-                     lambda b, h, i, d: sum_reduce(
-                         a_in[b, h, i, LoopVar(jax.dim)]
-                         * v_in[b, h, LoopVar(jax.dim), d], jax))
+        op = compute("AttnV", [batch, head, qi, hd], v_extents,
+                     lambda n, h, i, d: sum_reduce(
+                         a_in[n, h, i, LoopVar(jax.dim)]
+                         * v_in[n, h, LoopVar(jax.dim), d], jax))
         return _split_rows(Schedule(op), tile, remap)
 
-    return shared(program, ("attnv", id(seq), heads, head_size,
-                            int(tile), bool(remap)), build)
+    return b.once(("attnv", heads, head_size, int(tile), bool(remap)), build)
 
 
 def _run_attnv(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
                schedule_of, executor: "Executor",
                ) -> Tuple[List[np.ndarray], "ExecutionReport"]:
-    """Marshal AttnV inputs, run ``schedule_of(lens, heads, head_size)``."""
-    lens = np.ascontiguousarray([x.shape[1] for x in v], dtype=np.int64)
+    """Marshal AttnV inputs, run ``schedule_of(batch, heads, head_size)``."""
+    batch = RaggedBatch([x.shape[1] for x in v])
     heads, head_size = int(v[0].shape[0]), int(v[0].shape[2])
-    bsz = int(lens.size)
-    schedule = schedule_of(lens, heads, head_size)
+    schedule = schedule_of(batch, heads, head_size)
     inputs = {
-        "Attn": RaggedTensor.from_slices(attention_scores_layout(lens, heads),
+        "Attn": RaggedTensor.from_slices(attention_scores_layout(batch, heads),
                                          list(attn)),
-        "V": RaggedTensor.from_slices(_qkv_layout(lens, heads, head_size),
+        "V": RaggedTensor.from_slices(_qkv_layout(batch, heads, head_size),
                                       list(v)),
     }
-    out, report = executor.build_and_run(schedule, inputs)
-    return [out.valid_slice(b) for b in range(bsz)], report
+    out, report = executor.run_once(schedule, inputs)
+    return [out.valid_slice(b) for b in range(len(v))], report
 
 
 def attnv_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
@@ -334,8 +325,8 @@ def attnv_split_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
         executor = shared_executor(backend)
     return _run_attnv(
         attn, v,
-        lambda lens, heads, hd: _attnv_schedule(lens, heads, hd, int(tile),
-                                                bool(remap)),
+        lambda batch, heads, hd: _attnv_schedule(batch, heads, hd, int(tile),
+                                                 bool(remap)),
         executor)
 
 
@@ -344,45 +335,47 @@ def attnv_split_compiled(attn: Sequence[np.ndarray], v: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def qkt_node(program: "Program", q: str, k: str, lengths: Sequence[int],
-             heads: int, head_size: int, scale: Optional[float] = None,
+def qkt_node(program: "Program", q: str, k: str,
+             lengths: "Sequence[int] | RaggedBatch", heads: int,
+             head_size: int, scale: Optional[float] = None,
              name: str = "qkt", out: Optional[str] = None) -> str:
     """Append the ``Q K^T`` kernel to a program graph.
 
     ``q`` / ``k`` name ``[batch, heads, s(b), head_size]`` ragged values;
     the output value holds the ``[batch, heads, s(b), s(b)]`` scores.
-    Uses the program's shared schedule of :func:`_qkt_schedule` (under an
-    active tuned-schedule policy, the tuned variant for this raggedness
-    bucket), so every layer compiles to the same kernel instance.
+    Uses the batch's schedule of :func:`_qkt_schedule` (under an active
+    tuned-schedule policy, the tuned variant for this raggedness bucket):
+    given a :class:`RaggedBatch`, every layer compiles to the same kernel
+    instance.
     """
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    batch = RaggedBatch.of(lengths)
     schedule = _qkt_point_schedule(
-        applied_point("qkt", lens), lens, int(heads), int(head_size),
-        None if scale is None else float(scale), program)
+        applied_point("qkt", batch.lens), batch, int(heads), int(head_size),
+        None if scale is None else float(scale))
     return program.add_kernel(name, schedule, {"Q": q, "K": k},
-                              attention_scores_layout(lens, heads, program),
-                              out=out)
+                              attention_scores_layout(batch, heads), out=out)
 
 
-def attnv_node(program: "Program", attn: str, v: str, lengths: Sequence[int],
-               heads: int, head_size: int, name: str = "attnv",
+def attnv_node(program: "Program", attn: str, v: str,
+               lengths: "Sequence[int] | RaggedBatch", heads: int,
+               head_size: int, name: str = "attnv",
                out: Optional[str] = None) -> str:
     """Append the AttnV kernel (``probabilities @ V``) to a program graph.
 
     Under an active tuned-schedule policy the split/remap variant
     selected for this raggedness bucket is used instead of the
     hand-picked default."""
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
+    batch = RaggedBatch.of(lengths)
     schedule = _attnv_point_schedule(
-        applied_point("attnv", lens), lens, int(heads), int(head_size),
-        program)
+        applied_point("attnv", batch.lens), batch, int(heads), int(head_size))
     return program.add_kernel(
         name, schedule, {"Attn": attn, "V": v},
-        _qkv_layout(lens, int(heads), int(head_size), program), out=out)
+        _qkv_layout(batch, int(heads), int(head_size)), out=out)
 
 
-def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
-                   heads: int, head_size: int, prefix: str = "qkv",
+def qkv_split_node(program: "Program", qkv: str,
+                   lengths: "Sequence[int] | RaggedBatch", heads: int,
+                   head_size: int, prefix: str = "qkv",
                    ) -> Tuple[str, str, str]:
     """Split a packed ``(tokens, 3 * hidden)`` QKV matrix into per-sequence
     ``[batch, heads, s(b), head_size]`` ragged Q / K / V values.
@@ -391,9 +384,10 @@ def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
     numeric path performs, writing straight into the planned arena
     buffers.
     """
-    lens = [int(s) for s in np.asarray(lengths, dtype=np.int64)]
+    batch = RaggedBatch.of(lengths)
+    lens = batch.lens.tolist()
     heads, head_size = int(heads), int(head_size)
-    layout = _qkv_layout(lens, heads, head_size, program)
+    layout = _qkv_layout(batch, heads, head_size)
 
     def _split(q_t, k_t, v_t, qkv_mat):
         start = 0
@@ -412,12 +406,13 @@ def qkv_split_node(program: "Program", qkv: str, lengths: Sequence[int],
         fills_output=True)
 
 
-def attn_merge_node(program: "Program", attn: str, lengths: Sequence[int],
-                    heads: int, head_size: int, name: str = "attn.merge",
+def attn_merge_node(program: "Program", attn: str,
+                    lengths: "Sequence[int] | RaggedBatch", heads: int,
+                    head_size: int, name: str = "attn.merge",
                     out: Optional[str] = None) -> str:
     """Merge per-sequence ``[heads, s(b), head_size]`` attention outputs
     back into the packed ``(tokens, hidden)`` matrix (host marshalling)."""
-    lens = [int(s) for s in np.asarray(lengths, dtype=np.int64)]
+    lens = RaggedBatch.of(lengths).lens.tolist()
     heads, head_size = int(heads), int(head_size)
     total = sum(lens)
 
@@ -437,23 +432,25 @@ def attn_merge_node(program: "Program", attn: str, lengths: Sequence[int],
 
 
 def sdpa_nodes(program: "Program", q: str, k: str, v: str,
-               lengths: Sequence[int], heads: int, head_size: int,
-               masked: bool = False, prefix: str = "sdpa") -> str:
+               lengths: "Sequence[int] | RaggedBatch", heads: int,
+               head_size: int, masked: bool = False,
+               prefix: str = "sdpa") -> str:
     """Append the full SDPA kernel chain to a program graph: scaled QK^T,
     the (optionally causal-masked) four/five-kernel softmax, and AttnV --
     the same compiled chain :func:`sdpa_compiled` dispatches op by op."""
     from repro.ops.softmax import masked_softmax_nodes, softmax_nodes
 
+    batch = RaggedBatch.of(lengths)
     scale = 1.0 / float(np.sqrt(head_size))
-    scores = qkt_node(program, q, k, lengths, heads, head_size, scale=scale,
+    scores = qkt_node(program, q, k, batch, heads, head_size, scale=scale,
                       name=f"{prefix}.qkt", out=f"{prefix}.scores")
     if masked:
-        probs = masked_softmax_nodes(program, scores, lengths, heads,
+        probs = masked_softmax_nodes(program, scores, batch, heads,
                                      prefix=f"{prefix}.softmax")
     else:
-        probs = softmax_nodes(program, scores, lengths, heads,
+        probs = softmax_nodes(program, scores, batch, heads,
                               prefix=f"{prefix}.softmax")
-    return attnv_node(program, probs, v, lengths, heads, head_size,
+    return attnv_node(program, probs, v, batch, heads, head_size,
                       name=f"{prefix}.attnv", out=f"{prefix}.attn")
 
 
@@ -683,20 +680,20 @@ def _attention_tune_space(op: str, lengths: Sequence[int] = (),
         TunePoint({"tile": 0, "remap": False}))
 
 
-def _qkt_point_schedule(point: Optional[TunePoint], lens: np.ndarray,
-                        heads: int, head_size: int, scale: Optional[float],
-                        program: Optional["Program"] = None) -> Schedule:
+def _qkt_point_schedule(point: Optional[TunePoint],
+                        lens: "Sequence[int] | RaggedBatch", heads: int,
+                        head_size: int, scale: Optional[float]) -> Schedule:
     tile = int(point.get("tile", 0)) if point is not None else 0
     return _qkt_schedule(lens, heads, head_size, scale, tile,
-                         bool(tile and point.get("remap", False)), program)
+                         bool(tile and point.get("remap", False)))
 
 
-def _attnv_point_schedule(point: Optional[TunePoint], lens: np.ndarray,
-                          heads: int, head_size: int,
-                          program: Optional["Program"] = None) -> Schedule:
+def _attnv_point_schedule(point: Optional[TunePoint],
+                          lens: "Sequence[int] | RaggedBatch", heads: int,
+                          head_size: int) -> Schedule:
     tile = int(point.get("tile", 0)) if point is not None else 0
     return _attnv_schedule(lens, heads, head_size, tile,
-                           bool(tile and point.get("remap", False)), program)
+                           bool(tile and point.get("remap", False)))
 
 
 def _qkt_tune_build(point: TunePoint, lengths: Sequence[int],

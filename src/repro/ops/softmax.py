@@ -67,70 +67,73 @@ def masked_softmax_dense(scores: np.ndarray, lengths: Sequence[int]) -> np.ndarr
 # -- compiled (executor-backed) implementation ------------------------------------
 
 
-def shared(program: Optional["Program"], key: Tuple, build: Callable):
-    """``build()`` once per ``program`` (every time without one).
+class RaggedBatch:
+    """One mini-batch's raggedness: its length table ``lens``, batch
+    dimension ``dim`` and length function ``seq`` (``s(b)``).
 
-    What the call sites of one graph share -- the length function of its
-    mini-batch, the layouts and schedules built on it, the same in every
-    layer -- is scoped to the graph: nothing here is keyed by length
-    values process-wide, and nothing outlives the batch's program."""
-    return build() if program is None else program.memoize(key, build)
+    A program builder makes one and hands it to every node builder in
+    place of ``lengths``, so all ragged layouts and schedules of the batch
+    sit on the same extent object and are built once (:meth:`once`): every
+    layer of the graph then compiles to the same kernel instances.  A
+    plain length sequence makes a batch of its own (:meth:`of`); nothing
+    is keyed by length values, and nothing outlives the batch."""
+
+    def __init__(self, lengths: Sequence[int]):
+        self.lens = np.ascontiguousarray(lengths, dtype=np.int64)
+        self.dim = Dim("batch")
+        self.seq = VarExtent(self.dim, self.lens)
+        self._built: dict = {}
+
+    @classmethod
+    def of(cls, lengths: "Sequence[int] | RaggedBatch") -> "RaggedBatch":
+        return lengths if isinstance(lengths, cls) else cls(lengths)
+
+    def once(self, key: Tuple, build: Callable):
+        """``build()`` the first time ``key`` (structural parameters: a
+        kind, head counts, tile sizes) is asked for on this batch."""
+        try:
+            return self._built[key]
+        except KeyError:
+            value = self._built[key] = build()
+            return value
+
+    def extents(self, heads: int, *inner) -> list:
+        """``[batch, heads, *inner]`` extents of one of its tensors."""
+        return [ConstExtent(self.lens.size), ConstExtent(heads), *inner]
 
 
-def batch_lengths(lengths: Sequence[int], program: Optional["Program"] = None,
-                  ) -> Tuple[np.ndarray, Dim, VarExtent]:
-    """A mini-batch's length table, batch dimension and length function
-    ``s(b)``.  One triple per program: every ragged layout and schedule
-    of the batch is built on the same extent object."""
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-
-    def build():
-        batch = Dim("batch")
-        return lens, batch, VarExtent(batch, lens)
-
-    return shared(program, ("batch", lens.tobytes()), build)
-
-
-def attention_scores_layout(lengths: Sequence[int], num_heads: int,
-                            program: Optional["Program"] = None,
-                            ) -> RaggedLayout:
+def attention_scores_layout(lengths: "Sequence[int] | RaggedBatch",
+                            num_heads: int) -> RaggedLayout:
     """Layout of the ragged attention-score tensor ``[batch, heads, s(b), s(b)]``."""
-    lens, batch, seq = batch_lengths(lengths, program)
-    return shared(
-        program, ("scores-layout", id(seq), int(num_heads)),
-        lambda: RaggedLayout(
-            [batch, Dim("head"), Dim("qi"), Dim("kj")],
-            [ConstExtent(lens.size), ConstExtent(num_heads), seq, seq]))
+    b = RaggedBatch.of(lengths)
+    return b.once(("scores-layout", int(num_heads)), lambda: RaggedLayout(
+        [b.dim, Dim("head"), Dim("qi"), Dim("kj")],
+        b.extents(num_heads, b.seq, b.seq)))
 
 
-def attention_rows_layout(lengths: Sequence[int], num_heads: int,
-                          program: Optional["Program"] = None,
-                          ) -> RaggedLayout:
+def attention_rows_layout(lengths: "Sequence[int] | RaggedBatch",
+                          num_heads: int) -> RaggedLayout:
     """Layout of a per-row attention reduction ``[batch, heads, s(b)]``
     (the row-max and row-sum tensors of the softmax chain)."""
-    lens, batch, seq = batch_lengths(lengths, program)
-    return shared(
-        program, ("rows-layout", id(seq), int(num_heads)),
-        lambda: RaggedLayout(
-            [batch, Dim("head"), Dim("qi")],
-            [ConstExtent(lens.size), ConstExtent(num_heads), seq]))
+    b = RaggedBatch.of(lengths)
+    return b.once(("rows-layout", int(num_heads)), lambda: RaggedLayout(
+        [b.dim, Dim("head"), Dim("qi")], b.extents(num_heads, b.seq)))
 
 
-def _softmax_schedules(lengths: Sequence[int], heads: int,
-                       program: Optional["Program"] = None,
+def _softmax_schedules(lengths: "Sequence[int] | RaggedBatch", heads: int,
                        ) -> Tuple[Schedule, Schedule, Schedule, Schedule]:
     """The four softmax kernels (row max, shifted exp, row sum, normalise),
-    one set per program so every layer compiles the same kernel instances."""
-    lens, batch, seq = batch_lengths(lengths, program)
-    return shared(program, ("softmax", id(seq), int(heads)),
-                  lambda: _build_softmax_schedules(lens.size, batch, seq,
-                                                   int(heads)))
+    one set per batch so every layer compiles the same kernel instances."""
+    b = RaggedBatch.of(lengths)
+    return b.once(("softmax", int(heads)),
+                  lambda: _build_softmax_schedules(b, int(heads)))
 
 
-def _build_softmax_schedules(bsz: int, batch: Dim, seq: VarExtent, heads: int,
+def _build_softmax_schedules(b: RaggedBatch, heads: int,
                              ) -> Tuple[Schedule, Schedule, Schedule, Schedule]:
+    batch, seq = b.dim, b.seq
     head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
-    row_extents = [ConstExtent(bsz), ConstExtent(heads), seq]
+    row_extents = b.extents(heads, seq)
     mat_extents = row_extents + [seq]
 
     s_in = input_tensor("S", [batch, head, qi, kj], mat_extents)
@@ -154,18 +157,18 @@ def _build_softmax_schedules(bsz: int, batch: Dim, seq: VarExtent, heads: int,
             Schedule(div_op))
 
 
-def _softmax_chain(s_tensor: RaggedTensor, lens: np.ndarray, heads: int,
+def _softmax_chain(s_tensor: RaggedTensor, batch: RaggedBatch, heads: int,
                    executor: "Executor") -> Tuple[RaggedTensor, list]:
     """Run the four-kernel softmax chain on a packed score tensor."""
-    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(lens, heads)
+    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(batch, heads)
     reports = []
-    m_out, rep = executor.build_and_run(max_sch, {"S": s_tensor})
+    m_out, rep = executor.run_once(max_sch, {"S": s_tensor})
     reports.append(rep)
-    e_out, rep = executor.build_and_run(exp_sch, {"S": s_tensor, "M": m_out})
+    e_out, rep = executor.run_once(exp_sch, {"S": s_tensor, "M": m_out})
     reports.append(rep)
-    z_out, rep = executor.build_and_run(sum_sch, {"E": e_out})
+    z_out, rep = executor.run_once(sum_sch, {"E": e_out})
     reports.append(rep)
-    p_out, rep = executor.build_and_run(div_sch, {"E": e_out, "Z": z_out})
+    p_out, rep = executor.run_once(div_sch, {"E": e_out, "Z": z_out})
     reports.append(rep)
     return p_out, reports
 
@@ -186,13 +189,12 @@ def softmax_compiled(scores: Sequence[np.ndarray],
 
     if executor is None:
         executor = shared_executor(backend)
-    lens = np.ascontiguousarray([s.shape[-1] for s in scores], dtype=np.int64)
+    batch = RaggedBatch([s.shape[-1] for s in scores])
     heads = int(scores[0].shape[0])
-    bsz = int(lens.size)
     s_tensor = RaggedTensor.from_slices(
-        attention_scores_layout(lens, heads), list(scores))
-    p_out, reports = _softmax_chain(s_tensor, lens, heads, executor)
-    return [p_out.valid_slice(b) for b in range(bsz)], reports
+        attention_scores_layout(batch, heads), list(scores))
+    p_out, reports = _softmax_chain(s_tensor, batch, heads, executor)
+    return [p_out.valid_slice(b) for b in range(len(scores))], reports
 
 
 # -- masked (triangular) softmax ---------------------------------------------------
@@ -217,8 +219,8 @@ def causal_mask_matrix(width: int) -> np.ndarray:
     return mask
 
 
-def _mask_schedule(lengths: Sequence[int], heads: int, width: int,
-                   program: Optional["Program"] = None) -> Schedule:
+def _mask_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
+                   width: int) -> Schedule:
     """Additive-mask kernel ``SM[b,h,i,j] = S[b,h,i,j] + Mask[i,j]``.
 
     This is how the masked-SDPA schedule reaches the compiled pipeline
@@ -227,19 +229,19 @@ def _mask_schedule(lengths: Sequence[int], heads: int, width: int,
     indexed by the two inner vloops, which the vector backend turns into a
     single broadcast add over each instance bucket.
     """
-    lens, batch, seq = batch_lengths(lengths, program)
+    batch = RaggedBatch.of(lengths)
 
     def build() -> Schedule:
-        head, qi, kj = Dim("head"), Dim("qi"), Dim("kj")
-        mat_extents = [ConstExtent(lens.size), ConstExtent(heads), seq, seq]
-        s_in = input_tensor("S", [batch, head, qi, kj], mat_extents)
+        dims = [batch.dim, Dim("head"), Dim("qi"), Dim("kj")]
+        mat_extents = batch.extents(heads, batch.seq, batch.seq)
+        s_in = input_tensor("S", dims, mat_extents)
         m_in = input_tensor("Mask", [Dim("mi"), Dim("mj")],
                             [ConstExtent(width), ConstExtent(width)])
-        op = compute("SM", [batch, head, qi, kj], mat_extents,
+        op = compute("SM", dims, mat_extents,
                      lambda b, h, i, j: s_in[b, h, i, j] + m_in[i, j])
         return Schedule(op)
 
-    return shared(program, ("mask", id(seq), int(heads), int(width)), build)
+    return batch.once(("mask", int(heads), int(width)), build)
 
 
 def masked_softmax_compiled(scores: Sequence[np.ndarray],
@@ -257,35 +259,35 @@ def masked_softmax_compiled(scores: Sequence[np.ndarray],
 
     if executor is None:
         executor = shared_executor(backend)
-    lens = np.ascontiguousarray([s.shape[-1] for s in scores], dtype=np.int64)
+    batch = RaggedBatch([s.shape[-1] for s in scores])
     heads = int(scores[0].shape[0])
-    bsz = int(lens.size)
-    width = _mask_width(int(lens.max()) if bsz else 0)
+    width = _mask_width(batch.lens.max(initial=0))
     s_tensor = RaggedTensor.from_slices(
-        attention_scores_layout(lens, heads), list(scores))
-    mask_sch = _mask_schedule(lens, heads, width)
-    masked, rep = executor.build_and_run(
+        attention_scores_layout(batch, heads), list(scores))
+    mask_sch = _mask_schedule(batch, heads, width)
+    masked, rep = executor.run_once(
         mask_sch, {"S": s_tensor, "Mask": causal_mask_matrix(width)})
-    p_out, reports = _softmax_chain(masked, lens, heads, executor)
-    return [p_out.valid_slice(b) for b in range(bsz)], [rep] + reports
+    p_out, reports = _softmax_chain(masked, batch, heads, executor)
+    return [p_out.valid_slice(b) for b in range(len(scores))], [rep] + reports
 
 
 # -- program-graph node builders ---------------------------------------------------
 
 
-def softmax_nodes(program: "Program", scores: str, lengths: Sequence[int],
-                  num_heads: int, prefix: str = "softmax") -> str:
+def softmax_nodes(program: "Program", scores: str,
+                  lengths: "Sequence[int] | RaggedBatch", num_heads: int,
+                  prefix: str = "softmax") -> str:
     """Append the four-kernel ragged softmax chain to a program graph.
 
     ``scores`` names a ``[batch, heads, s(b), s(b)]`` ragged value; the
-    returned value name holds the row-normalised probabilities.  Schedules
-    and layouts are shared program-wide (:func:`shared`), so every layer's
-    chain compiles to the same kernel instances.
+    returned value name holds the row-normalised probabilities.  Given a
+    :class:`RaggedBatch` for ``lengths``, every layer's chain shares its
+    schedules and layouts and compiles to the same kernel instances.
     """
-    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(
-        lengths, num_heads, program)
-    rows = lambda: attention_rows_layout(lengths, num_heads, program)
-    mat = lambda: attention_scores_layout(lengths, num_heads, program)
+    batch = RaggedBatch.of(lengths)
+    max_sch, exp_sch, sum_sch, div_sch = _softmax_schedules(batch, num_heads)
+    rows = lambda: attention_rows_layout(batch, num_heads)
+    mat = lambda: attention_scores_layout(batch, num_heads)
     m = program.add_kernel(f"{prefix}.max", max_sch, {"S": scores},
                            rows(), out=f"{prefix}.m")
     e = program.add_kernel(f"{prefix}.exp", exp_sch, {"S": scores, "M": m},
@@ -297,19 +299,19 @@ def softmax_nodes(program: "Program", scores: str, lengths: Sequence[int],
 
 
 def masked_softmax_nodes(program: "Program", scores: str,
-                         lengths: Sequence[int], num_heads: int,
-                         prefix: str = "softmax") -> str:
+                         lengths: "Sequence[int] | RaggedBatch",
+                         num_heads: int, prefix: str = "softmax") -> str:
     """Causal-masked softmax as program nodes: the additive triangular-mask
     kernel (a dense mask constant shared across the batch) followed by the
     standard four-kernel chain of :func:`softmax_nodes`."""
-    width = _mask_width(max((int(n) for n in lengths), default=0))
-    mask_sch = _mask_schedule(lengths, num_heads, width, program)
+    batch = RaggedBatch.of(lengths)
+    width = _mask_width(batch.lens.max(initial=0))
+    mask_sch = _mask_schedule(batch, num_heads, width)
     mask = program.add_constant(f"{prefix}.mask", causal_mask_matrix(width))
     masked = program.add_kernel(
         f"{prefix}.addmask", mask_sch, {"S": scores, "Mask": mask},
-        attention_scores_layout(lengths, num_heads, program),
-        out=f"{prefix}.sm")
-    return softmax_nodes(program, masked, lengths, num_heads, prefix=prefix)
+        attention_scores_layout(batch, num_heads), out=f"{prefix}.sm")
+    return softmax_nodes(program, masked, batch, num_heads, prefix=prefix)
 
 
 def softmax_launch(lengths: Sequence[int], num_heads: int,

@@ -31,6 +31,7 @@ from repro.core.aotcache import (
     kernel_cache_key,
     stable_schedule_fingerprint,
 )
+from repro.core.codegen import clear_structures
 from repro.core.dims import Dim
 from repro.core.executor import Executor
 from repro.core.extents import ConstExtent, VarExtent
@@ -204,7 +205,9 @@ class TestAOTCache:
         assert st1["signature_misses"] == 1
 
         # A brand-new session + private executor + *independently built*
-        # program: everything in-memory is cold, only the disk is warm.
+        # program over an emptied process-wide kernel table: everything
+        # in-memory is cold, only the disk is warm.
+        clear_structures()
         s2 = Session(backend="vector", disk_cache=str(tmp_path), fuse=True)
         program2 = build_encoder_program(LENGTHS, weights, SMALL, masked=True)
         out2 = s2.run(program2, {"tokens": tokens}, signature=LENGTHS)
@@ -227,6 +230,7 @@ class TestAOTCache:
         for i, path in enumerate(entries):
             # truncation and garbage, the two real-world corruption modes
             path.write_bytes(b"" if i % 2 == 0 else b"\x80garbage")
+        clear_structures()      # a fresh process: the disk tier is asked
         s2 = Session(backend="vector", disk_cache=str(tmp_path))
         out2 = s2.run(build_encoder_program(LENGTHS, weights, SMALL,
                                             masked=True), {"tokens": tokens})

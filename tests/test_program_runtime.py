@@ -325,17 +325,25 @@ class TestSessionEncoder:
         hidden = _hidden((3, 2), seed=9)
         weights = EncoderWeights.random(SMALL, seed=9)
         session = Session(backend="vector")  # wraps the shared executor
-        run_encoder_layer_numeric(hidden, weights, SMALL, session=session)
+        program = build_encoder_program([3, 2], weights, SMALL)
+        tokens = {"tokens": np.concatenate(hidden)}
+        session.run(program, tokens)
         executor = shared_executor("vector")
         cached_before = len(executor._kernel_cache)
         assert cached_before > 0
         session.reset()
-        # The shared executor's kernel cache must survive a session reset,
-        # and rebuilding the program (new schedule objects, known kernel
-        # structures) only pays the prelude: nothing is generated again.
+        # The shared executor's kernel cache must survive a session reset:
+        # recompiling the program hits the kernel cache, no new lowers.
         assert len(executor._kernel_cache) == cached_before
+        lowers_before = executor.lower_count
+        session.run(program, tokens)
+        assert session.program_compiles == 1
+        assert executor.lower_count == lowers_before
+        # A *rebuilt* program (new schedule objects over known kernel
+        # structures) pays one prelude per kernel and generates nothing.
         generated_before = executor.structures_generated
         run_encoder_layer_numeric(hidden, weights, SMALL, session=session)
+        assert executor.lower_count == lowers_before + 6
         assert executor.structures_generated == generated_before
 
     def test_dense_node_builders_reject_ragged_values(self):

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core import aotcache
 from repro.core.aotcache import AOTCache, kernel_cache_key
+from repro.core.codegen import clear_structures
 from repro.core.dims import Dim
 from repro.core.executor import Executor
 from repro.core.extents import ConstExtent, VarExtent
@@ -454,6 +455,7 @@ class TestAOTVersionSkew:
         old.compile(_elementwise_schedule())
         assert old.disk_cache.stores == 1
         monkeypatch.undo()
+        clear_structures()      # a fresh process: the disk tier is asked
         new = Executor(backend="vector", disk_cache=str(tmp_path))
         compiled = new.compile(_elementwise_schedule())
         assert new.disk_hits == 0 and new.lower_count == 1   # recompiled
@@ -474,6 +476,7 @@ class TestAOTVersionSkew:
         variant["source"] = variant["source"].replace("2.0", "3.0")
         path.write_bytes(pickle.dumps(payload))
 
+        clear_structures()      # a fresh process: the disk tier is asked
         fresh = Executor(backend="vector", disk_cache=str(tmp_path))
         with caplog.at_level(logging.WARNING, logger="repro.core.aotcache"):
             compiled = fresh.compile(_elementwise_schedule())

@@ -565,3 +565,29 @@ class TestNothingIsKeyedByLengths:
                     self.compile_fresh(draw(), weights=weights)[0])
         ratio = statistics.median(fresh_times) / statistics.median(seen_times)
         assert 0.85 <= ratio <= 1.15, (ratio, statistics.median(seen_times))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_op_by_op_calls_pay_preludes_and_leave_nothing_behind(self,
+                                                                 masked):
+        """The op-by-op wrappers build their schedules per call: a repeated
+        call with the very same lengths pays one prelude per kernel, never
+        a generation, and pins nothing in the executor's kernel cache."""
+        rng = np.random.default_rng(3)
+        q, k, v = ([rng.standard_normal((2, n, 8)).astype(np.float32)
+                    for n in (5, 9, 3, 9)] for _ in range(3))
+        kernels = 7 if masked else 6
+        executor = Executor()
+        first = attention.sdpa_compiled(q, k, v, 8, executor=executor,
+                                        masked=masked)
+        generated = executor.structures_generated
+        assert generated <= kernels
+        for _ in range(20):
+            again = attention.sdpa_compiled(q, k, v, 8, executor=executor,
+                                            masked=masked)
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        stats = executor.codegen_stats()
+        assert stats["structures_generated"] == generated
+        assert stats["lower_count"] == stats["prelude_builds"] == 21 * kernels
+        assert stats["structure_hits"] == 21 * kernels - generated
+        assert stats["fallbacks"] == 0
+        assert len(executor._kernel_cache) == 0
