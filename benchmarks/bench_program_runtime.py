@@ -10,12 +10,19 @@ paths warm, both on the vector backend, bit-identical outputs):
 * warm-cache per-batch wall time (median over repeats);
 * per-batch intermediate allocation counts (op-by-op allocates one fresh
   buffer per operator output; the session reuses preallocated slabs);
-* peak intermediate bytes: planner arena vs summed per-op allocation.
+* peak intermediate bytes: planner arena vs summed per-op allocation;
+* the host side's prelude: microseconds a run spends in the marshalling
+  nodes (QKV split, attention merge) when every slice view has to be
+  resolved through the layout (what each run paid before the views were
+  kept on the program's ragged wrappers) against a warm run, which makes
+  no ``RaggedLayout.slice_bounds`` / ``slice_shape`` /
+  ``RaggedTensor.valid_slice_shape`` call at all.
 
 Writes ``benchmarks/results/bench_program_runtime.{txt,json}``.  With
 ``--smoke`` it runs a reduced problem and asserts the headline claims
 (arena >= 30% smaller than per-op allocation, zero vector-backend
-fallbacks, bit-identical outputs, program path not slower).
+fallbacks, bit-identical outputs, program path not slower, zero layout
+calls on a warm run).
 """
 
 from __future__ import annotations
@@ -23,10 +30,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 
+from repro.core.ragged_tensor import RaggedTensor
 from repro.core.session import Session
+from repro.core.storage import RaggedLayout
 from repro.models.config import TransformerConfig
 from repro.models.transformer import (
     EncoderWeights,
@@ -46,13 +57,48 @@ def _make_inputs(batch: int, config: TransformerConfig, seed: int = 0):
     return hidden
 
 
-def _median_ms(fn, repeats: int) -> float:
+def _median_ms(fn, repeats: int, setup=None) -> float:
     times = []
     for _ in range(repeats):
+        if setup is not None:
+            setup()             # untimed
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
     return float(np.median(times))
+
+
+def _layout_calls(fn) -> int:
+    """Calls ``fn`` makes into the layout arithmetic behind a slice view."""
+    with ExitStack() as stack:
+        mocks = [stack.enter_context(mock.patch.object(
+            owner, name, autospec=True, side_effect=getattr(owner, name)))
+            for owner, name in ((RaggedLayout, "slice_bounds"),
+                                (RaggedLayout, "slice_shape"),
+                                (RaggedTensor, "valid_slice_shape"))]
+        fn()
+        return sum(m.call_count for m in mocks)
+
+
+def _marshal_us(compiled, cold: bool, repeats: int) -> float:
+    """Median microseconds one run spends in the host marshalling nodes.
+
+    ``cold`` rebinds every ragged wrapper's buffer first, which drops its
+    slice views: the run then resolves each slice through the layout."""
+    steps = [step for step, idx in zip(compiled._steps, compiled.plan.order)
+             if compiled._work.nodes[idx].name.endswith((".split", ".merge"))]
+    wrappers = [w for w in compiled._wrapped.values()
+                if isinstance(w, RaggedTensor)]
+
+    def drop_views():
+        for wrapper in wrappers:
+            wrapper.data = wrapper.data
+
+    def marshal():
+        for _kind, fn, args, _prezero, _fill in steps:
+            fn(*args)
+
+    return 1e3 * _median_ms(marshal, repeats, drop_views if cold else None)
 
 
 def run_benchmark(smoke: bool = False) -> dict:
@@ -70,6 +116,7 @@ def run_benchmark(smoke: bool = False) -> dict:
     payload = {"config": {"batch": batch, "repeats": repeats,
                           "hidden_size": config.hidden_size},
                "variants": {}}
+    marshal = []
 
     for masked in (False, True):
         variant = "masked" if masked else "unmasked"
@@ -95,8 +142,17 @@ def run_benchmark(smoke: bool = False) -> dict:
 
         program = encoder_program([h.shape[0] for h in hidden], weights,
                                   config, masked=masked, session=session)
-        plan = session.compile(program).plan
+        compiled = session.compile(program)
+        plan = compiled.plan
         stats = session.stats()
+        warm_layout_calls = _layout_calls(
+            lambda: run_encoder_layer_numeric(hidden, weights, config,
+                                              masked=masked, session=session))
+        marshal_cold_us = _marshal_us(compiled, cold=True, repeats=repeats)
+        marshal_warm_us = _marshal_us(compiled, cold=False, repeats=repeats)
+        marshal.append(f"{variant}: host marshal {marshal_cold_us:.1f} us/run "
+                       f"resolving views -> {marshal_warm_us:.1f} us/run "
+                       f"warm ({warm_layout_calls} layout calls)")
 
         payload["variants"][variant] = {
             "opbyop_ms_per_batch": opbyop_ms,
@@ -110,6 +166,9 @@ def run_benchmark(smoke: bool = False) -> dict:
             "arena_allocs_per_batch": 0,
             "arena_slabs": plan.num_slabs,
             "codegen": stats["codegen"],
+            "warm_layout_calls": warm_layout_calls,
+            "host_marshal_cold_us_per_run": marshal_cold_us,
+            "host_marshal_warm_us_per_run": marshal_warm_us,
         }
         rows.append(format_row(
             [variant, opbyop_ms, program_ms, opbyop_ms / max(program_ms, 1e-9),
@@ -117,7 +176,7 @@ def run_benchmark(smoke: bool = False) -> dict:
              f"{plan.reuse_savings:.0%}", plan.num_values, plan.num_slabs],
             [10, 12, 12, 8, 10, 10, 11, 12, 6]))
 
-    write_result("bench_program_runtime", rows)
+    write_result("bench_program_runtime", rows + marshal)
     write_json_result("bench_program_runtime", payload)
     return payload
 
@@ -141,8 +200,12 @@ def main(argv=None) -> int:
             assert result["dispatch_speedup"] >= 0.9, (
                 f"{variant}: program dispatch slower than op-by-op "
                 f"({result['dispatch_speedup']:.2f}x)")
+            assert result["warm_layout_calls"] == 0, (
+                f"{variant}: a warm run made {result['warm_layout_calls']} "
+                "slice_bounds / slice_shape / valid_slice_shape calls")
         print("smoke checks passed: bit-identical, zero fallbacks, "
-              ">=30% arena savings, dispatch not slower")
+              ">=30% arena savings, dispatch not slower, zero layout calls "
+              "on a warm run")
     return 0
 
 

@@ -884,11 +884,12 @@ class BatchScheduler:
                     self.late_completions += 1
                 else:
                     self.goodput_requests += 1
-                hists = self.latency_by_priority.setdefault(
-                    request.priority,
-                    {"queue": LatencyHistogram(),
-                     "execute": LatencyHistogram(),
-                     "total": LatencyHistogram()})
+                hists = self.latency_by_priority.get(request.priority)
+                if hists is None:  # a class's first completion
+                    hists = self.latency_by_priority[request.priority] = {
+                        "queue": LatencyHistogram(),
+                        "execute": LatencyHistogram(),
+                        "total": LatencyHistogram()}
                 if request.t_submitted is not None:
                     if request.t_formed is not None:
                         hists["queue"].record(
