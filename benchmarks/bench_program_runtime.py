@@ -16,18 +16,25 @@ paths warm, both on the vector backend, bit-identical outputs):
   resolved through the layout (what each run paid before the views were
   kept on the program's ragged wrappers) against a warm run, which makes
   no ``RaggedLayout.slice_bounds`` / ``slice_shape`` /
-  ``RaggedTensor.valid_slice_shape`` call at all.
+  ``RaggedTensor.valid_slice_shape`` call at all;
+* the second core (``--smoke`` only): a hidden-512 layer compiled as the
+  host's usable cores allow against the same program compiled for one
+  core -- serial ms, split ms, the hand-off cost of a split step, and the
+  per-step table of what was split into how many chunks.
 
 Writes ``benchmarks/results/bench_program_runtime.{txt,json}``.  With
 ``--smoke`` it runs a reduced problem and asserts the headline claims
 (arena >= 30% smaller than per-op allocation, zero vector-backend
 fallbacks, bit-identical outputs, program path not slower, zero layout
-calls on a warm run).
+calls on a warm run; with two usable cores or more, at least one split
+step at hidden 512 and the same bits as the serial program -- no speed
+assertion, CI runners differ).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -35,12 +42,15 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core import parallel
+from repro.core.engine import dispatch_step
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.session import Session
 from repro.core.storage import RaggedLayout
-from repro.models.config import TransformerConfig
+from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.models.transformer import (
     EncoderWeights,
+    build_encoder_stack_program,
     encoder_program,
     run_encoder_layer_numeric,
     run_encoder_layer_opbyop,
@@ -99,6 +109,61 @@ def _marshal_us(compiled, cold: bool, repeats: int) -> float:
             fn(*args)
 
     return 1e3 * _median_ms(marshal, repeats, drop_views if cold else None)
+
+
+def run_second_core(repeats: int) -> dict:
+    """A hidden-512 encoder layer compiled for the host's usable cores
+    against the same program compiled for one (``usable_cores`` patched:
+    there is no knob).  Prints the per-step table; returns the numbers."""
+    config = PAPER_BASE_CONFIG
+    rng = np.random.default_rng(5)
+    lengths = [int(n) for n in rng.integers(16, 100, size=16)]
+    tokens = rng.standard_normal((sum(lengths), config.hidden_size)) \
+        .astype(np.float32)
+    program = build_encoder_stack_program(
+        lengths, [EncoderWeights.random(config, seed=2)], config,
+        masked=False, n_layers=1)
+    with mock.patch.object(parallel, "usable_cores", return_value=1):
+        serial = Session(backend="vector")
+        serial_steps = serial.compile(program)._steps
+    split = Session(backend="vector")
+    compiled = split.compile(program)
+    want = serial.run(program, {"tokens": tokens})["out_tokens"]
+    got = split.run(program, {"tokens": tokens})["out_tokens"]
+
+    noop = parallel.SplitStep(lambda: None, lambda: [(), ()])
+    rows = [format_row(["step", "serial ms", "split ms", "chunks"],
+                       [26, 10, 10, 6])]
+    n_split = 0
+    for idx, one, many in zip(compiled.plan.order, serial_steps,
+                              compiled._steps):
+        chunks = len(many[1].chunks) \
+            if isinstance(many[1], parallel.SplitStep) else 1
+        n_split += chunks > 1
+        rows.append(format_row(
+            [compiled._work.nodes[idx].name,
+             _median_ms(lambda: dispatch_step(one), repeats),
+             _median_ms(lambda: dispatch_step(many), repeats), chunks],
+            [26, 10, 10, 6]))
+    result = {
+        "usable_cores": parallel.usable_cores(),
+        "tokens": sum(lengths),
+        "split_steps": n_split,
+        "bit_identical": bool(np.array_equal(want, got)),
+        "serial_ms": _median_ms(
+            lambda: serial.run(program, {"tokens": tokens}), repeats),
+        "split_ms": _median_ms(
+            lambda: split.run(program, {"tokens": tokens}), repeats),
+        "handoff_us": 1e3 * _median_ms(noop, 200) if n_split else 0.0,
+    }
+    rows.append(f"hidden 512, {result['tokens']} tokens, "
+                f"{result['usable_cores']} usable cores, OPENBLAS_NUM_THREADS="
+                f"{os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}: serial "
+                f"{result['serial_ms']:.1f} ms, split {result['split_ms']:.1f} "
+                f"ms ({n_split} split steps), hand-off "
+                f"{result['handoff_us']:.0f} us")
+    write_result("bench_program_runtime_second_core", rows)
+    return result
 
 
 def run_benchmark(smoke: bool = False) -> dict:
@@ -176,6 +241,8 @@ def run_benchmark(smoke: bool = False) -> dict:
              f"{plan.reuse_savings:.0%}", plan.num_values, plan.num_slabs],
             [10, 12, 12, 8, 10, 10, 11, 12, 6]))
 
+    if smoke:
+        payload["second_core"] = run_second_core(repeats)
     write_result("bench_program_runtime", rows + marshal)
     write_json_result("bench_program_runtime", payload)
     return payload
@@ -203,9 +270,16 @@ def main(argv=None) -> int:
             assert result["warm_layout_calls"] == 0, (
                 f"{variant}: a warm run made {result['warm_layout_calls']} "
                 "slice_bounds / slice_shape / valid_slice_shape calls")
+        second = payload["second_core"]
+        assert second["bit_identical"], (
+            "hidden 512: split output != forced-serial output")
+        assert second["split_steps"] >= 1 or second["usable_cores"] < 2, (
+            f"hidden 512 on {second['usable_cores']} usable cores: no step "
+            "was split")
         print("smoke checks passed: bit-identical, zero fallbacks, "
               ">=30% arena savings, dispatch not slower, zero layout calls "
-              "on a warm run")
+              f"on a warm run, {second['split_steps']} split steps at "
+              "hidden 512 bit-identical to the serial program")
     return 0
 
 

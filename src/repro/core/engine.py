@@ -38,13 +38,14 @@ to the program's recipe, staging buffers and arena).
 
 from __future__ import annotations
 
-import os
 import queue as queue_mod
 import threading
 from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from repro.core import parallel
 
 #: Step kinds, as stored in ``CompiledProgram._steps``.
 KERNEL_STEP = 0
@@ -147,7 +148,7 @@ class PipelinedEngine(ExecutionEngine):
     Parameters
     ----------
     max_workers:
-        Worker-thread count; defaults to ``min(8, cpu_count)``, floored
+        Worker-thread count; defaults to ``min(8, usable cores)``, floored
         at 2 so concurrent dispatch is exercised even on one core.
     serial_shortcut:
         Auto-degrade width-1 plans to serial dispatch (default True).
@@ -159,7 +160,7 @@ class PipelinedEngine(ExecutionEngine):
                  serial_shortcut: bool = True) -> None:
         super().__init__()
         if max_workers is None:
-            max_workers = max(2, min(8, os.cpu_count() or 2))
+            max_workers = max(2, min(8, parallel.usable_cores()))
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = int(max_workers)
@@ -371,6 +372,7 @@ def _process_worker_main(worker_id: int, task_q, result_q) -> None:
     successors while the rest of the chunk is still running.
     """
     programs: Dict = {}
+    parallel.whole_steps = True
     while True:
         try:
             msg = task_q.get()
@@ -532,8 +534,8 @@ class ProcessPoolEngine(ExecutionEngine):
     Parameters
     ----------
     max_workers:
-        Worker-process count; defaults to ``min(8, cpu_count)``, floored
-        at 2.
+        Worker-process count; defaults to ``min(8, usable cores)``,
+        floored at 2.
     program_capacity:
         LRU bound on concurrently installed programs (each pins a
         shared-memory segment sized by its arena + inputs).
@@ -559,7 +561,7 @@ class ProcessPoolEngine(ExecutionEngine):
                  batch_dispatch: bool = True) -> None:
         super().__init__()
         if max_workers is None:
-            max_workers = max(2, min(8, os.cpu_count() or 2))
+            max_workers = max(2, min(8, parallel.usable_cores()))
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if program_capacity < 1:

@@ -137,11 +137,16 @@ class HostNode(ProgramNode):
     for ragged values, a shaped ``ndarray`` view for dense values) backed
     by its planned arena buffer.  With ``fills_output=True`` the function
     promises to overwrite every element of each output, so the dispatcher
-    can skip the pre-zeroing pass.
+    can skip the pre-zeroing pass.  A non-zero ``row_cost_s`` declares the
+    node *row-wise* -- row ``r`` of every output depends only on row ``r``
+    of the non-constant inputs (all dense, one leading extent) -- and
+    estimates its serial seconds per row; the session may then run it over
+    row chunks in parallel (:mod:`repro.core.parallel`).
     """
 
     fn: Callable = None
     fills_output: bool = True
+    row_cost_s: float = 0.0
 
     @property
     def kind(self) -> str:
@@ -246,7 +251,7 @@ class Program:
                  output_shapes: Optional[Dict[str, Sequence[int]]] = None,
                  fills_output: bool = True,
                  elementwise: Optional[Sequence[str]] = None,
-                 ) -> Tuple[str, ...]:
+                 row_cost_s: float = 0.0) -> Tuple[str, ...]:
         """Append a host-side step; returns its output value names.
 
         Outputs are declared through ``output_layouts`` (ragged) and/or
@@ -260,6 +265,11 @@ class Program:
         the same element count as each named input, and
         ``fills_output=True`` (a pre-zeroing pass would clobber the
         aliased input before ``fn`` reads it).
+
+        ``row_cost_s`` (estimated serial seconds per row) declares the
+        node row-wise, see :class:`HostNode`: its outputs and
+        non-constant inputs must be dense and share their leading extent
+        (checked when a session splits the step).
         """
         self._check_inputs(name, inputs)
         out_names: List[str] = []
@@ -296,7 +306,8 @@ class Program:
                         f"output has {out_elements}")
         self._add_node(HostNode(
             name=name, inputs=tuple(inputs), outputs=tuple(out_names),
-            fn=fn, fills_output=fills_output, elementwise=elementwise))
+            fn=fn, fills_output=fills_output, elementwise=elementwise,
+            row_cost_s=row_cost_s))
         return tuple(out_names)
 
     def mark_output(self, *names: str) -> None:

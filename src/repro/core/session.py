@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core import parallel
 from repro.core.aotcache import AOTCache
 from repro.core.cache import LRUDict
 from repro.core.engine import (
@@ -224,7 +225,13 @@ class CompiledProgram:
                 wrapped[name] = flat[name].reshape(spec.shape)
         self._wrapped = wrapped
 
-        # 4. Pre-resolve every dispatch step.
+        # 4. Pre-resolve every dispatch step.  With more than one usable
+        #    core, a row-wise host node or a bucketed kernel with enough
+        #    work runs as one chunk per core (:mod:`repro.core.parallel`);
+        #    fused regions share one workspace and stay whole.
+        cores = 1 if parallel.whole_steps else parallel.usable_cores()
+        gate = 2 * parallel.CHUNK_S if cores > 1 else float("inf")
+        shares: Dict[Tuple, List] = {}
         self._steps: List[Tuple] = []
         for step_idx in self.plan.order:
             node = work.nodes[step_idx]
@@ -234,9 +241,12 @@ class CompiledProgram:
                            for tname, vname in node.bindings.items()}
                 out_flat = flat[node.outputs[0]]
                 buffers[compiled.lowered.output_plan.spec.name] = out_flat
+                kernel, aux = compiled.generated, compiled.lowered.aux_arrays
+                if cores > 1:
+                    kernel = parallel.split_buckets(
+                        kernel, compiled.lowered, buffers, aux, cores, shares)
                 self._steps.append((
-                    _KERNEL_STEP, compiled.generated, buffers,
-                    compiled.lowered.aux_arrays,
+                    _KERNEL_STEP, kernel, buffers, aux,
                     None if compiled.generated.fills_output else out_flat))
             elif isinstance(node, FusedKernelNode):
                 # The emitted fused kernel addresses buffers by canonical
@@ -266,7 +276,14 @@ class CompiledProgram:
                 args += tuple(wrapped[i] for i in node.inputs)
                 prezero = (None if node.fills_output
                            else tuple(flat[o] for o in node.outputs))
-                self._steps.append((_HOST_STEP, node.fn, args, prezero, None))
+                fn = node.fn
+                seconds = node.row_cost_s and node.row_cost_s * len(args[0])
+                if seconds >= gate and len(args[0]) >= 4:
+                    fn = parallel.split_rows(
+                        fn, args, [work.values[v].role != ROLE_CONSTANT
+                                   for v in (*node.outputs, *node.inputs)],
+                        parallel.parts_for(seconds, cores))
+                self._steps.append((_HOST_STEP, fn, args, prezero, None))
 
         self.kernel_dispatches = sum(1 for s in self._steps
                                      if s[0] == _KERNEL_STEP)

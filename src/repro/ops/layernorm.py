@@ -12,6 +12,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.core.parallel import ELEMENTS_PER_S
 from repro.substrates.costmodel import KernelLaunch, layernorm_flops
 
 
@@ -78,7 +79,7 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
     (value,) = program.add_host(
         name, _layernorm, [tokens, g, b],
         output_shapes={out or name: program.dense_shape_of(tokens)},
-        fills_output=True)
+        fills_output=True, row_cost_s=6.0 * program.dense_shape_of(tokens)[-1] / ELEMENTS_PER_S)
     return value
 
 
