@@ -372,7 +372,8 @@ def _process_worker_main(worker_id: int, task_q, result_q) -> None:
     successors while the rest of the chunk is still running.
     """
     programs: Dict = {}
-    parallel.whole_steps = True
+    # The workers are this engine's parallelism: their steps run whole.
+    parallel.usable_cores = lambda: 1
     while True:
         try:
             msg = task_q.get()

@@ -137,16 +137,16 @@ class HostNode(ProgramNode):
     for ragged values, a shaped ``ndarray`` view for dense values) backed
     by its planned arena buffer.  With ``fills_output=True`` the function
     promises to overwrite every element of each output, so the dispatcher
-    can skip the pre-zeroing pass.  A non-zero ``row_cost_s`` declares the
-    node *row-wise* -- row ``r`` of every output depends only on row ``r``
-    of the non-constant inputs (all dense, one leading extent) -- and
-    estimates its serial seconds per row; the session may then run it over
-    row chunks in parallel (:mod:`repro.core.parallel`).
+    can skip the pre-zeroing pass.  ``row_wise`` declares that row ``r`` of
+    every output depends only on the constants and on row ``r`` of the other
+    inputs (all dense), at ``row_flops`` GEMM flops a row: a session may run
+    such a node over row chunks in parallel (:mod:`repro.core.parallel`).
     """
 
     fn: Callable = None
     fills_output: bool = True
-    row_cost_s: float = 0.0
+    row_wise: bool = False
+    row_flops: int = 0
 
     @property
     def kind(self) -> str:
@@ -251,7 +251,8 @@ class Program:
                  output_shapes: Optional[Dict[str, Sequence[int]]] = None,
                  fills_output: bool = True,
                  elementwise: Optional[Sequence[str]] = None,
-                 row_cost_s: float = 0.0) -> Tuple[str, ...]:
+                 row_wise: bool = False, row_flops: int = 0,
+                 ) -> Tuple[str, ...]:
         """Append a host-side step; returns its output value names.
 
         Outputs are declared through ``output_layouts`` (ragged) and/or
@@ -265,11 +266,6 @@ class Program:
         the same element count as each named input, and
         ``fills_output=True`` (a pre-zeroing pass would clobber the
         aliased input before ``fn`` reads it).
-
-        ``row_cost_s`` (estimated serial seconds per row) declares the
-        node row-wise, see :class:`HostNode`: its outputs and
-        non-constant inputs must be dense and share their leading extent
-        (checked when a session splits the step).
         """
         self._check_inputs(name, inputs)
         out_names: List[str] = []
@@ -282,6 +278,10 @@ class Program:
             out_names.append(out)
         if not out_names:
             raise ProgramError(f"host node {name!r} declares no outputs")
+        if row_wise and any(self.values[v].is_ragged
+                            for v in (*inputs, *out_names)):
+            raise ProgramError(f"host node {name!r}: a row-wise node's "
+                               "inputs and outputs must be dense")
         elementwise = tuple(elementwise or ())
         if elementwise:
             if len(out_names) != 1:
@@ -307,7 +307,7 @@ class Program:
         self._add_node(HostNode(
             name=name, inputs=tuple(inputs), outputs=tuple(out_names),
             fn=fn, fills_output=fills_output, elementwise=elementwise,
-            row_cost_s=row_cost_s))
+            row_wise=row_wise, row_flops=row_flops))
         return tuple(out_names)
 
     def mark_output(self, *names: str) -> None:

@@ -225,13 +225,10 @@ class CompiledProgram:
                 wrapped[name] = flat[name].reshape(spec.shape)
         self._wrapped = wrapped
 
-        # 4. Pre-resolve every dispatch step.  With more than one usable
-        #    core, a row-wise host node or a bucketed kernel with enough
-        #    work runs as one chunk per core (:mod:`repro.core.parallel`);
-        #    fused regions share one workspace and stay whole.
-        cores = 1 if parallel.whole_steps else parallel.usable_cores()
-        gate = 2 * parallel.CHUNK_S if cores > 1 else float("inf")
-        shares: Dict[Tuple, List] = {}
+        # 4. Pre-resolve every dispatch step.  A row-wise host node or a
+        #    bucketed kernel with enough work runs as one chunk per usable
+        #    core; fused regions share one workspace and stay whole.
+        cores = parallel.usable_cores()
         self._steps: List[Tuple] = []
         for step_idx in self.plan.order:
             node = work.nodes[step_idx]
@@ -241,12 +238,10 @@ class CompiledProgram:
                            for tname, vname in node.bindings.items()}
                 out_flat = flat[node.outputs[0]]
                 buffers[compiled.lowered.output_plan.spec.name] = out_flat
-                kernel, aux = compiled.generated, compiled.lowered.aux_arrays
-                if cores > 1:
-                    kernel = parallel.split_buckets(
-                        kernel, compiled.lowered, buffers, aux, cores, shares)
                 self._steps.append((
-                    _KERNEL_STEP, kernel, buffers, aux,
+                    _KERNEL_STEP, parallel.split_buckets(
+                        compiled.generated, compiled.lowered, buffers, cores),
+                    buffers, compiled.lowered.aux_arrays,
                     None if compiled.generated.fills_output else out_flat))
             elif isinstance(node, FusedKernelNode):
                 # The emitted fused kernel addresses buffers by canonical
@@ -276,13 +271,8 @@ class CompiledProgram:
                 args += tuple(wrapped[i] for i in node.inputs)
                 prezero = (None if node.fills_output
                            else tuple(flat[o] for o in node.outputs))
-                fn = node.fn
-                seconds = node.row_cost_s and node.row_cost_s * len(args[0])
-                if seconds >= gate and len(args[0]) >= 4:
-                    fn = parallel.split_rows(
-                        fn, args, [work.values[v].role != ROLE_CONSTANT
-                                   for v in (*node.outputs, *node.inputs)],
-                        parallel.parts_for(seconds, cores))
+                fn = (parallel.split_rows(node, args, work.values, cores)
+                      if node.row_wise else node.fn)
                 self._steps.append((_HOST_STEP, fn, args, prezero, None))
 
         self.kernel_dispatches = sum(1 for s in self._steps

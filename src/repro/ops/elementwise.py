@@ -8,12 +8,10 @@ the padding-change operators in the transformer pipeline (Figure 3).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Sequence
 
 import numpy as np
 
-from repro.core.parallel import ELEMENTS_PER_S
 from repro.core.ragged_tensor import RaggedTensor
 from repro.substrates.costmodel import KernelLaunch
 
@@ -75,11 +73,10 @@ def add_node(program: "Program", x: str, y: str, name: str = "add",
     def _add(out_mat, a, b):
         np.add(a, b, out=out_mat)
 
-    shape = program.dense_shape_of(x)
     (value,) = program.add_host(
-        name, _add, [x, y], output_shapes={out or name: shape},
-        fills_output=True, elementwise=(x, y),
-        row_cost_s=math.prod(shape[1:]) / ELEMENTS_PER_S)
+        name, _add, [x, y],
+        output_shapes={out or name: program.dense_shape_of(x)},
+        fills_output=True, elementwise=(x, y), row_wise=True)
     return value
 
 
@@ -94,11 +91,10 @@ def relu_node(program: "Program", x: str, name: str = "relu",
     def _relu(out_mat, a):
         np.maximum(a, 0.0, out=out_mat)
 
-    shape = program.dense_shape_of(x)
     (value,) = program.add_host(
-        name, _relu, [x], output_shapes={out or name: shape},
-        fills_output=True, elementwise=(x,),
-        row_cost_s=math.prod(shape[1:]) / ELEMENTS_PER_S)
+        name, _relu, [x],
+        output_shapes={out or name: program.dense_shape_of(x)},
+        fills_output=True, elementwise=(x,), row_wise=True)
     return value
 
 

@@ -12,7 +12,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.parallel import ELEMENTS_PER_S
 from repro.substrates.costmodel import KernelLaunch, layernorm_flops
 
 
@@ -79,7 +78,7 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
     (value,) = program.add_host(
         name, _layernorm, [tokens, g, b],
         output_shapes={out or name: program.dense_shape_of(tokens)},
-        fills_output=True, row_cost_s=6.0 * program.dense_shape_of(tokens)[-1] / ELEMENTS_PER_S)
+        fills_output=True, row_wise=True)
     return value
 
 

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.extents import ceil_to
-from repro.core.parallel import GEMM_FLOPS_PER_S
 from repro.core.prelude import bulk_pad_lengths
 from repro.substrates.costmodel import KernelLaunch, gemm_flops
 
@@ -94,7 +93,7 @@ def linear_node(program: "Program", tokens: str, weight: np.ndarray,
     (value,) = program.add_host(
         name, _linear, inputs,
         output_shapes={out or name: (n_tokens, int(weight.shape[1]))},
-        fills_output=True, row_cost_s=2.0 * weight.size / GEMM_FLOPS_PER_S)
+        fills_output=True, row_wise=True, row_flops=2 * weight.size)
     return value
 
 

@@ -31,12 +31,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import parallel
+from repro.core.dims import Dim
 from repro.core.engine import PipelinedEngine, ProcessPoolEngine
 from repro.core.errors import ExecutionError
+from repro.core.extents import ConstExtent, VarExtent
+from repro.core.ir import exp
+from repro.core.operator import compute, input_tensor
 from repro.core.program import Program, ProgramError
+from repro.core.ragged_tensor import RaggedTensor
+from repro.core.schedule import Schedule
 from repro.core.session import Session
+from repro.core.storage import RaggedLayout
 from repro.models.config import TransformerConfig
 from repro.models.transformer import build_encoder_stack_program
+from repro.ops.elementwise import add_node, relu_node
 from repro.ops.projection import linear_node
 from repro.serving.faults import FaultInjector
 
@@ -210,7 +218,8 @@ class TestPartition:
 
     def test_no_single_row_gemm_chunk_just_above_the_gate(self, monkeypatch):
         weight = np.ones((512, 1536), dtype=np.float32)
-        per_row = 2 * weight.size / parallel.GEMM_FLOPS_PER_S
+        per_row = (2 * weight.size / parallel.GEMM_FLOPS_PER_S
+                   + weight.shape[1] / parallel.ELEMENTS_PER_S)
         above = int(2 * parallel.CHUNK_S / per_row) + 1
         for n_rows, expect in ((above - 1, 0), (above, 1), (above + 1, 1)):
             program = Program(f"linear{n_rows}")
@@ -263,8 +272,18 @@ class TestGate:
         assert compiled.fused_kernels and split_steps(compiled) == []
 
     def test_process_pool_workers_run_their_steps_whole(self, monkeypatch):
-        monkeypatch.setattr(parallel, "whole_steps", True)
-        _, compiled = compiled_with(monkeypatch, 2, encoder([90, 41, 90]))
+        # A worker sees one core from its first message on: the engine's
+        # processes are its parallelism.
+        from repro.core import engine
+
+        class Stop:
+            def get(self):
+                raise EOFError
+
+        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        engine._process_worker_main(0, Stop(), None)
+        assert parallel.usable_cores() == 1
+        compiled = Session().compile(encoder([90, 41, 90]))
         assert split_steps(compiled) == []
 
     def test_usable_cores_is_the_affinity_mask(self, monkeypatch):
@@ -316,7 +335,7 @@ class TestFailureAndLifetime:
         x = program.add_input("x", shape=(4000, 512))
         (y,) = program.add_host("double", flaky, [x],
                                 output_shapes={"y": (4000, 512)},
-                                row_cost_s=1e-6)
+                                row_wise=True)
         program.mark_output(y)
         session, compiled = compiled_with(monkeypatch, 2, program)
         assert [name for name, _ in split_steps(compiled)] == ["double"]
@@ -425,7 +444,7 @@ class TestFailureAndLifetime:
                 num_layers=1, loop_pad=4, bulk_pad=16, attention_tile=8)
             for lengths in ([32], [32] * 8, [9, 30, 17]):
                 run(small, lengths)
-            assert parallel._pool is None and helpers() == [], helpers()
+            assert helpers() == [], helpers()
             big = TransformerConfig(
                 hidden_size=256, num_heads=4, head_size=64, ff_size=512,
                 num_layers=1, loop_pad=4, bulk_pad=16, attention_tile=8)
@@ -439,12 +458,79 @@ class TestFailureAndLifetime:
             done.stderr
 
 
-def test_row_wise_declaration_is_checked_when_split(monkeypatch):
-    program = Program("bad")
-    x = program.add_input("x", shape=(4000, 512))
-    y = program.add_input("y", shape=(512, 4000))
-    program.mark_output(*program.add_host(
-        "f", lambda out, a, b: None, [x, y],
-        output_shapes={"z": (4000, 512)}, row_cost_s=1e-6))
-    with pytest.raises(ProgramError, match="one leading extent"):
-        compiled_with(monkeypatch, 2, program)
+# ---------------------------------------------------------------------------
+# steps that must stay whole
+# ---------------------------------------------------------------------------
+
+
+class TestLeftWhole:
+    def test_constant_with_a_row_per_token_keeps_the_node_whole(
+            self, monkeypatch):
+        # A positional table: constant, but not "the same for every row".
+        rng = np.random.default_rng(0)
+        table = rng.standard_normal((4000, 512)).astype(np.float32)
+        data = rng.standard_normal((4000, 512)).astype(np.float32)
+        program = Program("positional")
+        x = program.add_input("x", shape=(4000, 512))
+        y = add_node(program, x, program.add_constant("table", table))
+        program.mark_output(relu_node(program, y))
+        session, compiled = compiled_with(monkeypatch, 2, program)
+        assert [name for name, _ in split_steps(compiled)] == ["relu"]
+        assert np.array_equal(session.run(program, {"x": data})["relu"],
+                              np.maximum(data + table, 0.0))
+
+    def test_input_of_another_leading_extent_keeps_the_node_whole(
+            self, monkeypatch):
+        program = Program("transposed")
+        x = program.add_input("x", shape=(4000, 512))
+        y = program.add_input("y", shape=(512, 4000))
+        program.mark_output(*program.add_host(
+            "f", lambda out, a, b: np.add(a, b.T, out=out), [x, y],
+            output_shapes={"z": (4000, 512)}, row_wise=True))
+        session, compiled = compiled_with(monkeypatch, 2, program)
+        assert split_steps(compiled) == []
+        ones = np.ones((4000, 512), dtype=np.float32)
+        assert np.array_equal(
+            session.run(program, {"x": ones, "y": ones.T})["z"], 2 * ones)
+
+    def test_row_wise_outputs_must_be_dense(self):
+        batch, seq = Dim("batch"), Dim("seq")
+        layout = RaggedLayout([batch, seq], [
+            ConstExtent(2), VarExtent(batch, np.array([3, 5]))])
+        program = Program("ragged")
+        x = program.add_input("x", layout=layout)
+        with pytest.raises(ProgramError, match="must be dense"):
+            program.add_host("f", lambda out, a: None, [x],
+                             output_layouts={"y": layout}, row_wise=True)
+
+    def test_kernel_that_clears_its_output_before_the_loop_stays_whole(
+            self, monkeypatch):
+        # Storage rows beyond the loop make the kernel clear its whole
+        # output before the bucket loop: run by every worker, the later
+        # clear would wipe what the earlier worker had stored.
+        lens = np.array([500, 470, 512, 440, 512, 480, 512, 400])
+        batch, seq, hid = Dim("batch"), Dim("seq"), Dim("hid")
+        ragged = [ConstExtent(len(lens)), VarExtent(batch, lens)]
+        x_in = input_tensor("X", [batch, seq, hid],
+                            ragged + [ConstExtent(512)])
+        stored = [ConstExtent(len(lens) + 2),
+                  VarExtent(batch, np.append(lens, [8, 8])), ConstExtent(512)]
+        y_op = compute("Y", [batch, seq, hid], ragged + [ConstExtent(512)],
+                       lambda b, i, c: exp(x_in[b, i, c]),
+                       storage_extents=stored)
+        x_layout = RaggedLayout([batch, seq, hid], ragged + [ConstExtent(512)])
+        program = Program("cleared")
+        x = program.add_input("x", layout=x_layout)
+        program.mark_output(program.add_kernel(
+            "y", Schedule(y_op), {"X": x},
+            RaggedLayout([batch, seq, hid], stored)))
+        data = RaggedTensor.random(x_layout, seed=1)
+        serial, whole = compiled_with(monkeypatch, 1, program)
+        assert ".fill(0.0)" in whole.kernels[0].source
+        want = serial.run(program, {"x": data})["y"].data.copy()
+        assert np.count_nonzero(want) == lens.sum() * 512
+        session, compiled = compiled_with(monkeypatch, 2, program)
+        assert split_steps(compiled) == []
+        for _ in range(5):
+            got = session.run(program, {"x": data})["y"].data
+            assert np.array_equal(got, want)
