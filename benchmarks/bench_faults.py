@@ -12,8 +12,6 @@ injection point:
   its batchmates re-run and complete;
 * ``run/corrupt`` -- the same, but via a shape-corrupted batch output
   caught by output validation;
-* ``pipelined_worker`` -- a pipelined-engine worker dies mid-dispatch;
-  the batch must retry once on a serial engine and recover everyone;
 * ``demux``    -- the overlap-demux worker corrupts/raises; the demux
   must retry synchronously and recover everyone.
 
@@ -54,10 +52,9 @@ def _request_stream(num_requests: int, config: TransformerConfig,
             .astype(np.float32) for n in lengths]
 
 
-def _make_scheduler(weights, config, injector=None, *, engine="serial",
+def _make_scheduler(weights, config, injector=None, *,
                     overlap_demux=False, max_batch=4, max_retries=0):
-    session = Session(backend="vector", engine=engine,
-                      fault_injector=injector)
+    session = Session(backend="vector", fault_injector=injector)
     return BatchScheduler(weights, config, session=session, masked=True,
                           n_layers=2, max_batch_size=max_batch,
                           bucket_tolerance=4, overlap_demux=overlap_demux,
@@ -128,11 +125,6 @@ def run_benchmark(smoke: bool = False) -> dict:
                          max_fires=None)
             return injector, _make_scheduler(weights, config, injector), \
                 [poison_slot]
-        if name == "pipelined_worker":
-            injector.add("pipelined_worker", error=ExecutionError,
-                         max_fires=1)
-            return injector, _make_scheduler(weights, config, injector,
-                                             engine="pipelined"), []
         if name == "demux":
             injector.add("demux", action="corrupt", max_fires=1)
             return injector, _make_scheduler(weights, config, injector,
@@ -149,11 +141,10 @@ def run_benchmark(smoke: bool = False) -> dict:
 
     widths = [18, 10, 8, 10, 10, 10, 10, 12]
     rows = [format_row(["fault class", "completed", "failed", "recovery",
-                        "iso runs", "degraded", "fallbacks", "bitident"],
+                        "iso runs", "degraded", "recovered", "bitident"],
                        widths)]
 
-    for name in ("compile", "run", "run/corrupt", "pipelined_worker",
-                 "demux"):
+    for name in ("compile", "run", "run/corrupt", "demux"):
         injector, scheduler, expected_failures = injected(name)
         ids, results, elapsed = _drain(scheduler, stream)
         stats = scheduler.stats()
@@ -165,7 +156,6 @@ def run_benchmark(smoke: bool = False) -> dict:
             "extra_batches": stats["num_batches"] + stats["isolation_runs"]
             - ref_batches,
             "degraded_batches": stats["degraded_batches"],
-            "engine_fallbacks": stats["engine_fallbacks"],
             "demux_recoveries": stats["demux_recoveries"],
             "injector_fires": injector.stats()["fires"],
             "drain_completed": True,
@@ -175,7 +165,7 @@ def run_benchmark(smoke: bool = False) -> dict:
             [name, entry["completed"], len(entry["failed"]),
              f"{entry['recovery_rate']:.0%}", entry["isolation_runs"],
              entry["degraded_batches"],
-             entry["engine_fallbacks"] + entry["demux_recoveries"],
+             entry["demux_recoveries"],
              "yes" if entry["others_bit_identical"] else "NO"],
             widths))
         scheduler.close()
@@ -241,7 +231,6 @@ def main(argv=None) -> int:
                 "fault injection")
         assert payload["matrix"]["compile"]["degraded_batches"] >= 1
         assert payload["matrix"]["run"]["isolation_runs"] >= 1
-        assert payload["matrix"]["pipelined_worker"]["engine_fallbacks"] >= 1
         assert payload["matrix"]["demux"]["demux_recoveries"] >= 1
         chaos = payload["chaos"]
         assert chaos["all_terminal"], (

@@ -1,9 +1,8 @@
 """Planner-level fusion + persistent AOT cache: the dispatch-count story.
 
-PR 7's honest finding was that the ``ProcessPoolEngine`` achieves full
-width (``max_inflight = K``) but loses wall-clock to serial because every
-step pays ~100-140 us of dispatch overhead -- so the most direct fix is
-*fewer, fatter steps*.  This benchmark measures both halves of that fix:
+Every plan step pays its own dispatch overhead, so the most direct fix
+is *fewer, fatter steps*.  This benchmark measures both halves of that
+fix:
 
 * **Fusion** (``plan_program(fuse=True)``): producer-consumer kernel
   chains collapse into single emitted kernels whose intermediates live in

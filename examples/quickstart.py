@@ -142,19 +142,19 @@ def main() -> None:
     print(f"run_stack([program, stage2]) doubles twice (4*A): {quadrupled}")
 
     # ------------------------------------------------------------------ #
-    # 6. Execution engines: HOW the compiled steps run is a pluggable
-    #    strategy.  The default SerialEngine replays the flat dispatch
-    #    loop; the PipelinedEngine dispatches each node over a worker
-    #    pool as soon as its dependence-edge predecessors retire --
-    #    bit-identical by construction, because the plan records every
-    #    data and buffer-reuse edge.
+    # 6. In-place planning: an element-wise node may write its output
+    #    over its dying input's arena slab instead of a second buffer --
+    #    bit-identical by construction, because steps run in plan order
+    #    and the planner only aliases an input no later step reads.
     # ------------------------------------------------------------------ #
-    pipelined = Session(backend="vector", engine="pipelined", inplace=True)
-    result2 = pipelined.run(program, {"A": a})[scaled]
-    print("\n--- execution engines --------------------------------------")
-    print(f"pipelined engine matches serial: "
+    inplace = Session(backend="vector", inplace=True)
+    result2 = inplace.run(program, {"A": a})[scaled]
+    print("\n--- in-place planning --------------------------------------")
+    print(f"in-place plan matches double-buffered: "
           f"{np.array_equal(result2.data, result.data)}")
-    print(f"engine stats: {pipelined.stats()['engine']}")
+    print(f"values aliased in place: "
+          f"{inplace.compile(program).plan.inplace_values} (only element-wise "
+          f"host nodes alias; this program is one kernel)")
 
 
 if __name__ == "__main__":

@@ -60,17 +60,15 @@ def main() -> None:
           f"{plan.num_slabs} slabs vs {plan.naive_bytes / 1024:.0f} KiB "
           f"per-op ({plan.reuse_savings:.0%} saved)")
 
-    # Execution engines + in-place scheduling: the same program runs
-    # bit-identically through the pipelined engine (dependence-driven
-    # worker-pool dispatch), and in-place planning lets the residual adds
-    # and the ReLU overwrite their dying inputs' slabs.
-    pipelined = Session(backend="vector", engine="pipelined", inplace=True)
-    ragged_pipelined = run_encoder_layer_numeric(hidden, weights, config,
-                                                 session=pipelined)
-    plan_ip = pipelined.compile(program).plan
+    # In-place scheduling: the residual adds and the ReLU overwrite their
+    # dying inputs' slabs, and the program still runs bit-identically.
+    inplace = Session(backend="vector", inplace=True)
+    ragged_inplace = run_encoder_layer_numeric(hidden, weights, config,
+                                               session=inplace)
+    plan_ip = inplace.compile(program).plan
     identical = all(np.array_equal(a, b) for a, b in
-                    zip(ragged.hidden, ragged_pipelined.hidden))
-    print(f"pipelined engine bit-identical to serial: {identical}; "
+                    zip(ragged.hidden, ragged_inplace.hidden))
+    print(f"in-place plan bit-identical to double-buffered: {identical}; "
           f"in-place arena {plan_ip.arena_bytes / 1024:.0f} KiB "
           f"({plan_ip.inplace_values} values aliased in place, "
           f"{(plan.arena_bytes - plan_ip.arena_bytes) / 1024:.0f} KiB below "

@@ -20,10 +20,9 @@ The package is organised as follows:
     planner (:mod:`repro.core.planner`) with optional in-place slab
     sharing for element-wise nodes, and the :class:`Session`, which
     compiles a whole program ahead of time for one raggedness signature
-    and executes repeated mini-batches through a pluggable execution
-    engine (:mod:`repro.core.engine`): a serial flat dispatch loop, or a
-    pipelined engine overlapping host and kernel nodes over a worker
-    pool, both over reusable arena buffers.
+    and executes repeated mini-batches with one flat dispatch loop
+    (:mod:`repro.core.engine`) over reusable arena buffers; heavy steps
+    run as one chunk per core (:mod:`repro.core.parallel`).
 
 ``repro.substrates``
     Simulated hardware devices (GPU-like and CPU-like) and the analytical
@@ -74,29 +73,11 @@ from repro.core.operator import RaggedOperator, compute, input_tensor, placehold
 from repro.core.schedule import Schedule
 from repro.core.codegen import CodegenBackend, ScalarBackend, get_backend
 from repro.core.codegen_vector import VectorBackend
-from repro.core.engine import (
-    ExecutionEngine,
-    PipelinedEngine,
-    ProcessPoolEngine,
-    SerialEngine,
-)
+from repro.core.engine import ExecutionEngine
 from repro.core.executor import Executor
-from repro.core.planner import ProgramPlan, ShardSpec, plan_program, plan_shards
-from repro.core.program import (
-    MergeInfo,
-    Program,
-    ProgramError,
-    build_from_recipe,
-    merge_programs,
-    register_program_builder,
-)
-from repro.core.session import (
-    CompiledProgram,
-    Session,
-    ShardedProgram,
-    default_session,
-    shard_program,
-)
+from repro.core.planner import ProgramPlan, plan_program
+from repro.core.program import Program, ProgramError
+from repro.core.session import CompiledProgram, Session, default_session
 from repro.serving import (
     BatchScheduler,
     FailedResult,
@@ -126,21 +107,10 @@ __all__ = [
     "get_backend",
     "Executor",
     "ExecutionEngine",
-    "SerialEngine",
-    "PipelinedEngine",
-    "ProcessPoolEngine",
     "Program",
     "ProgramError",
     "ProgramPlan",
-    "MergeInfo",
-    "merge_programs",
-    "register_program_builder",
-    "build_from_recipe",
     "plan_program",
-    "plan_shards",
-    "ShardSpec",
-    "ShardedProgram",
-    "shard_program",
     "Session",
     "CompiledProgram",
     "default_session",

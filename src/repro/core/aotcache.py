@@ -3,10 +3,10 @@
 The in-process kernel cache (:class:`repro.core.executor.Executor`)
 and the process-wide kernel table (:func:`repro.core.codegen.kernel_structure`)
 already make generating a kernel a once-per-process cost, but every fresh
-process -- each CI shard, every :class:`ProcessPoolEngine` worker, every
-cold serving replica -- re-generates every kernel from scratch.  CoRa's
-compile model (the operator is generated once; a mini-batch only runs the
-host prelude that builds its auxiliary tables) extends across processes:
+process -- each CI shard, every cold serving replica -- re-generates
+every kernel from scratch.  CoRa's compile model (the operator is
+generated once; a mini-batch only runs the host prelude that builds its
+auxiliary tables) extends across processes:
 for a given kernel *structure* -- operator, schedule, backend, and the
 emitter's length-dependent decisions -- the generated source is
 deterministic, so it is generated once per machine and reloaded from disk

@@ -431,9 +431,8 @@ class Executor:
 
         Thread-safe: cache lookups, compile-counter updates and the
         lower+generate pass itself are serialised under the executor's
-        lock, so concurrent sessions (or a pipelined engine's worker
-        threads hitting a shared executor) never race the LRU or compile
-        the same kernel twice.
+        lock, so concurrent sessions hitting a shared executor never race
+        the LRU or compile the same kernel twice.
         """
         with self._lock:
             if not self.cache_enabled:

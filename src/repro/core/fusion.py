@@ -2,11 +2,10 @@
 
 The compiled encoder still pays one dispatch per operator with an arena
 round-trip between every producer-consumer pair -- exactly the overhead
-the source paper argues a ragged-tensor compiler should fuse away, and
-the per-step IPC cost that kept the process-pool engine from harvesting
-its width.  :func:`fuse_program` rewrites a :class:`Program` graph so
-that maximal runs of *consecutive same-kind* nodes (all-kernel or
-all-host, never across merge groups) become single fused nodes:
+the source paper argues a ragged-tensor compiler should fuse away.
+:func:`fuse_program` rewrites a :class:`Program` graph so that maximal
+runs of *consecutive same-kind* nodes (all-kernel or all-host) become
+single fused nodes:
 
 * a run of :class:`KernelNode`\\ s (e.g. the masked softmax chain
   ``addmask -> max -> exp -> sum -> div``) becomes one
@@ -27,15 +26,13 @@ Values with any external reader survive as outputs of the fused node.
 Fusion never reorders work: regions are contiguous runs of the
 original (topological) node order and members execute in that order
 inside the fused step, so the rewrite is bit-identical by
-construction.  Merge groups (``merge_programs``) are respected as
-region boundaries so a wide K-request program keeps its K independent
-chains and the engines keep their width.
+construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.program import (
@@ -116,14 +113,12 @@ class FusionReport:
 
 
 def _fusable_runs(program: Program) -> List[Tuple[str, List[int]]]:
-    """Maximal runs of consecutive same-kind, same-merge-group nodes.
+    """Maximal runs of consecutive same-kind nodes.
 
     Returns ``(kind, node_indices)`` for every run; only runs of length
-    >= 2 are fusion regions.  Merge-group boundaries split runs so wide
-    (K-request) programs keep K independent chains.
+    >= 2 are fusion regions.
     """
     runs: List[Tuple[str, List[int]]] = []
-    prev_key = None
     for idx, node in enumerate(program.nodes):
         if isinstance(node, KernelNode):
             kind = "kernel"
@@ -131,13 +126,10 @@ def _fusable_runs(program: Program) -> List[Tuple[str, List[int]]]:
             kind = "host"
         else:  # already fused, or a foreign node kind: never re-fuse
             kind = f"other:{idx}"
-        group = program.merge_groups.get(node.outputs[0])
-        key = (kind, group)
-        if key == prev_key and runs:
+        if runs and runs[-1][0] == kind:
             runs[-1][1].append(idx)
         else:
             runs.append((kind, [idx]))
-            prev_key = key
     return runs
 
 
@@ -190,7 +182,7 @@ def fuse_program(program: Program,
     The rewritten program preserves input / constant / surviving-value
     names and the marked outputs, so it is a drop-in execution plan for
     the original -- callers keep addressing the *original* program (the
-    session caches by its uid and engines ship its recipe).
+    session caches by its uid).
     """
     program.validate()
     runs = _fusable_runs(program)
@@ -199,7 +191,6 @@ def fuse_program(program: Program,
         return None, report
 
     fused = Program(program.name)
-    fused.recipe = None  # engines rebuild the original and re-fuse
 
     for spec in program.values.values():
         if spec.role in (ROLE_INPUT, ROLE_CONSTANT):
@@ -208,8 +199,6 @@ def fuse_program(program: Program,
 
     internalized: List[str] = []
     region_sizes: List[int] = []
-    # original node index -> fused-program node index (for merge roots)
-    node_map: Dict[int, int] = {}
     for kind, indices in runs:
         if len(indices) < 2 or kind not in ("kernel", "host"):
             for i in indices:
@@ -217,15 +206,12 @@ def fuse_program(program: Program,
                 for oname in node.outputs:
                     fused._declare(dataclasses.replace(
                         program.values[oname], producer=None, consumers=[]))
-                node_map[i] = len(fused.nodes)
                 fused._add_node(node)
             continue
         node, internal = _region_node(program, indices, kind)
         for oname in node.outputs:
             fused._declare(dataclasses.replace(
                 program.values[oname], producer=None, consumers=[]))
-        for i in indices:
-            node_map[i] = len(fused.nodes)
         fused._add_node(node)
         internalized.extend(internal)
         region_sizes.append(len(indices))
@@ -238,25 +224,6 @@ def fuse_program(program: Program,
             report.fused_hosts += 1
 
     fused.mark_output(*program.outputs)
-
-    # Merge metadata: groups carry over for surviving values; a root
-    # that was internalised is replaced by its fused node's outputs so
-    # the planner still gives each part's entry step a fresh slab.
-    if program.merge_groups:
-        for name in fused.values:
-            group = program.merge_groups.get(name)
-            if group is not None:
-                fused.merge_groups[name] = group
-    if program.merge_roots:
-        roots: List[str] = []
-        for name in program.merge_roots:
-            if name in fused.values:
-                roots.append(name)
-            else:
-                producer = program.values[name].producer
-                node = fused.nodes[node_map[producer]]
-                roots.extend(node.outputs)
-        fused.merge_roots = frozenset(roots)
 
     report.values_internalized = len(internalized)
     report.internalized = tuple(internalized)

@@ -1,11 +1,10 @@
-"""Program planning: ordering, liveness, dependences, arena assignment.
+"""Program planning: ordering, liveness, arena assignment.
 
 Given a :class:`~repro.core.program.Program` whose raggedness signature is
 fixed, every intermediate value's byte size is known before execution
 (insight I1 of the paper: raggedness is known up front).  The planner
 exploits that to replace per-op output allocation with a small set of
-reusable arena *slabs*, and to hand execution engines an explicit
-dependence structure:
+reusable arena *slabs*:
 
 1. :func:`topological_order` orders the nodes (Kahn's algorithm, stable in
    insertion order -- programs built through the ``Program`` API are
@@ -23,25 +22,22 @@ dependence structure:
    its (otherwise dead) input's slab -- a provably-safe in-place update.
    The planner packs both ways and keeps the aliasing only when it does
    not lose, so the in-place arena is never larger than the
-   double-buffered one;
-4. :func:`compute_dependences` records, per execution step, the exact set
-   of predecessor steps that must retire first: the data edges of the
-   graph plus the write-after-read edges induced by slab reuse and
-   in-place aliasing.  This is the contract the pipelined execution
-   engine schedules against -- any step order respecting ``step_preds``
-   computes bit-identical results.
+   double-buffered one.
 
-The resulting :class:`ProgramPlan` records the slab sizes, the per-value
-assignment, the in-place aliases, the dependence edges and the peak arena
-bytes, alongside the bytes a per-op allocator would have touched -- the
-numbers the memory model and the engine benchmark report.
+Steps run one after another in ``order``, so slab reuse and in-place
+aliasing need no further bookkeeping: a slab is rewritten only after
+every step touching its previous occupant has run.  The resulting
+:class:`ProgramPlan` records the slab sizes, the per-value assignment,
+the in-place aliases and the peak arena bytes, alongside the bytes a
+per-op allocator would have touched -- the numbers the memory model
+reports.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +50,7 @@ from repro.core.program import (
 
 @dataclass
 class ProgramPlan:
-    """The execution plan of one program: order, liveness, deps, arena."""
+    """The execution plan of one program: order, liveness, arena."""
 
     #: node indices in execution order
     order: List[int]
@@ -73,14 +69,6 @@ class ProgramPlan:
     inplace_of: Dict[str, str] = field(default_factory=dict)
     #: whether in-place aliasing was enabled for this plan
     inplace: bool = False
-    #: per-step predecessor steps (data + anti-dependence edges); the
-    #: execution-engine contract -- any order respecting these edges is
-    #: bit-identical to serial plan-order execution.
-    step_preds: List[Tuple[int, ...]] = field(default_factory=list)
-    #: per-step successor steps (transpose of ``step_preds``)
-    step_succs: List[Tuple[int, ...]] = field(default_factory=list)
-    #: steps with no predecessors (the initial ready set)
-    ready_steps: Tuple[int, ...] = ()
     #: the rewritten program when planned with ``fuse=True`` and at
     #: least one region fused; ``order`` / ``liveness`` / steps index
     #: into *its* nodes.  ``None`` for unfused plans.
@@ -122,36 +110,6 @@ class ProgramPlan:
             # buffer, not a second one.
             live[self.liveness[name][0]] -= self.value_elements[name]
         return int(live.max()) * self.itemsize
-
-    @property
-    def max_width(self) -> int:
-        """Maximum number of steps on any dependence level.
-
-        Levelize the step graph over ``step_preds`` (a step's level is one
-        past its deepest predecessor's) and report the widest level: 1 for
-        a pure chain, > 1 when independent steps could overlap.  This is
-        the cheap static bound the :class:`~repro.core.engine.
-        PipelinedEngine` uses to shortcut chain-shaped programs to serial
-        dispatch, and what fused programs must raise above 1 for width to
-        pay.
-        """
-        cached = getattr(self, "_max_width_cache", None)
-        if cached is not None:
-            return cached
-        n = len(self.step_preds)
-        if n == 0:
-            width = 0
-        else:
-            level = [0] * n
-            counts: Dict[int, int] = {}
-            for step in range(n):
-                preds = self.step_preds[step]
-                lv = 1 + max((level[p] for p in preds), default=-1)
-                level[step] = lv
-                counts[lv] = counts.get(lv, 0) + 1
-            width = max(counts.values())
-        self._max_width_cache = width
-        return width
 
     @property
     def num_slabs(self) -> int:
@@ -204,11 +162,7 @@ def topological_order(program: Program) -> List[int]:
     The ready set is a min-index heap, so among runnable nodes the one
     inserted earliest always goes first.  For any program built through
     the ``Program`` API (which requires producers before consumers) this
-    makes the planned order *exactly* the insertion order -- which is what
-    lets :func:`~repro.core.program.merge_programs` shape arena liveness
-    by staggering its node emission: a FIFO ready list would flatten the
-    interleave into BFS level order and run every fused part in lockstep,
-    inflating the fused arena to K x a single part's.
+    makes the planned order *exactly* the insertion order.
     """
     n = len(program.nodes)
     preds: List[set] = [set() for _ in range(n)]
@@ -258,80 +212,6 @@ def compute_liveness(program: Program,
     return liveness
 
 
-def compute_dependences(
-    program: Program,
-    order: List[int],
-    slab_of: Dict[str, int],
-    liveness: Dict[str, Tuple[int, int]],
-    inplace_of: Optional[Dict[str, str]] = None,
-) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]], Tuple[int, ...]]:
-    """Per-step dependence edges: the execution engine's contract.
-
-    Three edge families, all expressed over *steps* (indices into
-    ``order``):
-
-    * **data**: a step reading a value waits for the step producing it;
-    * **in-place write-after-read**: a step writing its output into an
-      aliased input's buffer waits for every *other* consumer of that
-      input -- a concurrent engine must not let the in-place writer
-      clobber bytes a sibling reader is still consuming;
-    * **slab reuse write-after-read/write**: a step whose output is
-      assigned to a recycled slab waits for the previous occupant's
-      producer and all of its consumers.  Serial execution gets this for
-      free from step order; a concurrent engine needs the explicit edges.
-
-    Returns ``(step_preds, step_succs, ready_steps)``.
-    """
-    inplace_of = inplace_of or {}
-    step_of = {node_idx: step for step, node_idx in enumerate(order)}
-    n = len(order)
-    preds: List[set] = [set() for _ in range(n)]
-
-    # Data edges.
-    for step, node_idx in enumerate(order):
-        node = program.nodes[node_idx]
-        for name in node.inputs:
-            producer = program.values[name].producer
-            if producer is not None and step_of[producer] != step:
-                preds[step].add(step_of[producer])
-
-    # In-place write-after-read edges.
-    for out_name, src_name in inplace_of.items():
-        writer = step_of[program.values[out_name].producer]
-        for consumer in program.values[src_name].consumers:
-            cs = step_of[consumer]
-            if cs != writer:
-                preds[writer].add(cs)
-
-    # Slab-reuse anti-dependence edges: for each slab, walk its occupants
-    # in birth order; each new occupant's producer must wait for the
-    # previous occupant's producer and consumers to retire.  (In-place
-    # hand-overs are covered by the edges above plus the data edge, but
-    # adding them again is harmless and keeps this loop uniform.)
-    by_slab: Dict[int, List[str]] = {}
-    for name, slab in slab_of.items():
-        by_slab.setdefault(slab, []).append(name)
-    for names in by_slab.values():
-        names.sort(key=lambda n: liveness[n][0])
-        for prev, cur in zip(names, names[1:]):
-            writer = step_of[program.values[cur].producer]
-            spec = program.values[prev]
-            touching = [spec.producer] + list(spec.consumers)
-            for node_idx in touching:
-                ts = step_of[node_idx]
-                if ts != writer:
-                    preds[writer].add(ts)
-
-    step_preds = [tuple(sorted(p)) for p in preds]
-    succs: List[set] = [set() for _ in range(n)]
-    for step, ps in enumerate(step_preds):
-        for p in ps:
-            succs[p].add(step)
-    step_succs = [tuple(sorted(s)) for s in succs]
-    ready = tuple(s for s in range(n) if not step_preds[s])
-    return step_preds, step_succs, ready
-
-
 def _pack_slabs(
     program: Program,
     order: List[int],
@@ -348,16 +228,9 @@ def _pack_slabs(
     producing node is declared element-wise and ``inplace`` reassigns
     the dying input's slab to the output directly.
 
-    Values in ``program.merge_roots`` (the first node's outputs of each
-    fused part, see :func:`~repro.core.program.merge_programs`) always get
-    a brand-new slab: reusing a freed slab would add a write-after-read
-    edge onto the part's entry step, knocking it out of ``ready_steps``
-    and silently serializing the fused width the merge exists to create.
-
     Returns ``(slab_elements, slab_of, inplace_of)``.
     """
     outputs = set(program.outputs)
-    fresh_roots = getattr(program, "merge_roots", frozenset())
     slab_elements: List[int] = []
     slab_of: Dict[str, int] = {}
     inplace_of: Dict[str, str] = {}
@@ -398,11 +271,6 @@ def _pack_slabs(
     for step in range(len(order)):
         for name in births.get(step, ()):
             need = value_elements[name]
-            if name in fresh_roots:
-                slab_of[name] = len(slab_elements)
-                slab_elements.append(need)
-                occupant[slab_of[name]] = name
-                continue
             source = _inplace_source(name, step) if inplace else None
             if source is not None:
                 slab = slab_of[source]
@@ -456,18 +324,17 @@ def plan_program(program: Program, itemsize: int = 4,
     element count, and -- crucially -- has no consumer later than this
     node: a second live reader forbids the in-place update, since the
     write would clobber bytes that reader has yet to consume.  Aliased
-    values share the input's slab; the dependence edges recorded in
-    ``step_preds`` make the sharing safe under concurrent dispatch too.
-    Guarantee: if the aliased packing would end up *larger* than plain
-    double buffering (hand-over can strand a big recycled slab), the
-    planner falls back to the double-buffered packing, so
+    values share the input's slab.  Guarantee: if the aliased packing
+    would end up *larger* than plain double buffering (hand-over can
+    strand a big recycled slab), the planner falls back to the
+    double-buffered packing, so
     ``arena_bytes`` with ``inplace=True`` never exceeds the default.
 
     With ``fuse=True`` the graph is first rewritten by
     :func:`~repro.core.fusion.fuse_program`: contiguous same-kind node
     runs collapse into single fused steps and fully-internal
     intermediates leave the plan (their slabs disappear).  The plan's
-    ``order`` / liveness / dependence structure then describes the
+    ``order`` / liveness then describes the
     *fused* program, available as ``plan.fused_program``; callers keep
     addressing the original program.
     """
@@ -502,9 +369,6 @@ def plan_program(program: Program, itemsize: int = 4,
             slab_elements, slab_of, inplace_of = (
                 plain_elements, plain_of, {})
 
-    step_preds, step_succs, ready_steps = compute_dependences(
-        program, order, slab_of, liveness, inplace_of)
-
     return ProgramPlan(
         order=order,
         liveness=liveness,
@@ -514,95 +378,6 @@ def plan_program(program: Program, itemsize: int = 4,
         itemsize=int(itemsize),
         inplace_of=inplace_of,
         inplace=bool(inplace),
-        step_preds=step_preds,
-        step_succs=step_succs,
-        ready_steps=ready_steps,
         fused_program=fused_program,
         fusion=fusion,
     )
-
-
-# ---------------------------------------------------------------------------
-# Batch-dimension sharding
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """One contiguous slice of a ragged batch's governing dimension.
-
-    Sequences ``[seq_start, seq_stop)`` of the original batch, occupying
-    packed token rows ``[token_start, token_stop)`` of any dense
-    ``(total_tokens, width)`` staging array.  ``lengths`` is the shard's
-    own length vector -- the raggedness signature its sub-program is
-    built (and its arena planned) for.
-    """
-
-    index: int
-    seq_start: int
-    seq_stop: int
-    token_start: int
-    token_stop: int
-    lengths: Tuple[int, ...]
-
-    @property
-    def num_sequences(self) -> int:
-        return self.seq_stop - self.seq_start
-
-    @property
-    def num_tokens(self) -> int:
-        return self.token_stop - self.token_start
-
-    def token_range(self) -> Tuple[int, int]:
-        return (self.token_start, self.token_stop)
-
-
-def plan_shards(lengths: Sequence[int], n_shards: int) -> List[ShardSpec]:
-    """Cut a ragged batch into contiguous, token-balanced shards.
-
-    Shards never split a sequence (the governing dimension is the batch
-    axis, and every per-sequence computation stays intact), so per-shard
-    execution of a batch-parallel program is *structurally* identical to
-    running the shard's sequences alone -- the foundation of the
-    bit-identity guarantee ``Session.run_sharded`` inherits.  Boundaries
-    greedily balance token counts: each cut is placed where the running
-    token total first reaches the next multiple of ``total / n_shards``.
-    ``n_shards`` is capped at ``len(lengths)`` (a shard needs at least
-    one sequence); empty batches are rejected.
-    """
-    lengths = [int(x) for x in lengths]
-    if not lengths:
-        raise ProgramError("cannot shard an empty batch")
-    if any(x <= 0 for x in lengths):
-        raise ProgramError(f"sequence lengths must be positive: {lengths}")
-    n_shards = int(n_shards)
-    if n_shards < 1:
-        raise ProgramError(f"n_shards must be >= 1, got {n_shards}")
-    n_shards = min(n_shards, len(lengths))
-
-    total = sum(lengths)
-    shards: List[ShardSpec] = []
-    seq_start = 0
-    token_start = 0
-    running = 0
-    for i, length in enumerate(lengths):
-        running += length
-        remaining_seqs = len(lengths) - (i + 1)
-        remaining_shards = n_shards - (len(shards) + 1)
-        target = total * (len(shards) + 1) / n_shards
-        # Cut once the running total reaches this shard's token target --
-        # but never leave fewer sequences than shards still to form.
-        if ((running >= target or remaining_seqs == remaining_shards)
-                and remaining_shards >= 0 and len(shards) < n_shards - 1
-                and remaining_seqs >= remaining_shards):
-            shards.append(ShardSpec(
-                index=len(shards), seq_start=seq_start, seq_stop=i + 1,
-                token_start=token_start, token_stop=running,
-                lengths=tuple(lengths[seq_start:i + 1])))
-            seq_start = i + 1
-            token_start = running
-    shards.append(ShardSpec(
-        index=len(shards), seq_start=seq_start, seq_stop=len(lengths),
-        token_start=token_start, token_stop=total,
-        lengths=tuple(lengths[seq_start:])))
-    return shards

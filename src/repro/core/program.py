@@ -24,8 +24,6 @@ of time and replays it with a single flat dispatch loop.
 
 from __future__ import annotations
 
-import dataclasses
-import importlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -172,16 +170,6 @@ class Program:
         self.values: Dict[str, ValueSpec] = {}
         self.nodes: List[ProgramNode] = []
         self.outputs: List[str] = []
-        #: optional rebuild recipe (see :func:`register_program_builder`):
-        #: a picklable description from which an identical program can be
-        #: reconstructed in another process.  ``None`` for ad-hoc programs.
-        self.recipe: Optional[Tuple] = None
-        #: merge metadata (set by :func:`merge_programs`): value names
-        #: whose producers must start unobstructed (fresh arena slabs),
-        #: the per-value merge-group index, and the per-part rename maps.
-        self.merge_roots: frozenset = frozenset()
-        self.merge_groups: Dict[str, int] = {}
-        self.merge_info: Optional["MergeInfo"] = None
 
     # -- value declaration ---------------------------------------------------
 
@@ -368,246 +356,3 @@ class Program:
     def __repr__(self) -> str:
         return (f"Program({self.name!r}, nodes={len(self.nodes)}, "
                 f"values={len(self.values)}, outputs={self.outputs})")
-
-
-# ---------------------------------------------------------------------------
-# Program rebuild recipes
-# ---------------------------------------------------------------------------
-#
-# Host-node functions and schedule bodies are local closures, so a
-# ``Program`` cannot be pickled across process boundaries.  A *recipe*
-# sidesteps pickling entirely: it names a registered builder function plus
-# the (picklable) keyword arguments that reproduce the program, and the
-# receiving process rebuilds -- and recompiles -- an identical program
-# locally.  Builders must be deterministic: the same recipe must yield the
-# same node order, value names, layouts and constant arrays, so the
-# resulting :class:`~repro.core.planner.ProgramPlan` is identical in every
-# process (the process-pool engine verifies this with a plan fingerprint).
-
-_PROGRAM_BUILDERS: Dict[str, Callable[..., "Program"]] = {}
-
-
-def register_program_builder(name: str,
-                             builder: Callable[..., "Program"]) -> None:
-    """Register a deterministic program builder under ``name``.
-
-    The builder is invoked as ``builder(**kwargs)`` by
-    :func:`build_from_recipe`; its keyword arguments must be picklable.
-    Re-registering the same name overwrites (module reload friendliness).
-    """
-    if not callable(builder):
-        raise TypeError(f"builder for {name!r} must be callable")
-    _PROGRAM_BUILDERS[name] = builder
-
-
-def make_recipe(module: str, builder: str, **kwargs) -> Tuple:
-    """A recipe tuple: import ``module``, call registered ``builder``."""
-    return ("builder", module, builder, kwargs)
-
-
-def build_from_recipe(recipe: Tuple) -> "Program":
-    """Rebuild a program from its recipe (see
-    :func:`register_program_builder`).
-
-    ``("builder", module, name, kwargs)`` imports ``module`` first (so the
-    import side effect registers the builder) and calls the registered
-    builder; ``("merged", opts)`` recursively rebuilds the parts and
-    re-merges them with the recorded sharing/stagger options.
-    """
-    if not isinstance(recipe, tuple) or not recipe:
-        raise ProgramError(f"malformed program recipe: {recipe!r}")
-    kind = recipe[0]
-    if kind == "merged":
-        opts = recipe[1]
-        parts = [build_from_recipe(r) for r in opts["parts"]]
-        return merge_programs(parts, share=opts.get("share", "constants"),
-                              stagger=opts.get("stagger"))
-    if kind != "builder" or len(recipe) != 4:
-        raise ProgramError(f"malformed program recipe: {recipe!r}")
-    _, module, builder, kwargs = recipe
-    importlib.import_module(module)
-    fn = _PROGRAM_BUILDERS.get(builder)
-    if fn is None:
-        raise ProgramError(
-            f"no program builder named {builder!r} registered by module "
-            f"{module!r}; call register_program_builder at import time")
-    program = fn(**kwargs)
-    if program.recipe is None:
-        program.recipe = recipe
-    return program
-
-
-# ---------------------------------------------------------------------------
-# Multi-program fusion
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergeInfo:
-    """How :func:`merge_programs` renamed each part into the merged graph."""
-
-    #: per-part prefix (``"R0."``, ``"R1."``, ...)
-    prefixes: Tuple[str, ...]
-    #: per-part mapping of original value name -> merged value name
-    value_maps: Tuple[Dict[str, str], ...]
-    #: constants deduplicated across parts (shared by array identity)
-    shared_constants: int
-    #: node-emission stagger used for the interleave
-    stagger: int
-
-    @property
-    def num_parts(self) -> int:
-        return len(self.prefixes)
-
-    def input_name(self, part: int, name: str) -> str:
-        return self.value_maps[part][name]
-
-    def output_name(self, part: int, name: str) -> str:
-        return self.value_maps[part][name]
-
-
-def merge_programs(programs: Sequence[Program], share: str = "constants",
-                   stagger: Optional[int] = None,
-                   name: Optional[str] = None) -> Program:
-    """Fuse K independent programs into one wide program graph.
-
-    Part ``i``'s values and nodes are namespaced ``R{i}.``; the parts stay
-    *disjoint* subgraphs (no data edges between them), so the planner's
-    dependence analysis sees K independent chains and ``ready_steps``
-    gains genuine width -- the prerequisite for pipelined / process-pool
-    dispatch to overlap anything on chain-shaped models.  With
-    ``share="constants"`` (default) constant values referencing the *same
-    array object* (weights shared across requests, or across layers) are
-    declared once and rebound everywhere; ``share=None`` keeps every
-    part's constants separate.
-
-    ``stagger`` controls the node-emission interleave, which -- because
-    planning orders steps by emission -- controls how far the parts'
-    lifetimes overlap and hence the fused arena size: part ``i``'s node
-    ``j`` is emitted at tick ``i * stagger + j``.  ``stagger=1`` runs the
-    parts in near-lockstep (maximum width, arena ~ K x one part);
-    ``stagger=len(nodes)`` concatenates them (arena ~ one part, no
-    steady-state overlap).  The default -- about half a part's length --
-    overlaps 2-3 parts at a time, so arena(fused K) stays well below
-    K x arena(single) while every part's first step remains immediately
-    ready (the planner gives merge roots fresh slabs, see
-    ``Program.merge_roots``).
-
-    The same ``Program`` object may appear multiple times (its values are
-    only read).  If every part carries a rebuild recipe, the merged
-    program gets a ``("merged", ...)`` recipe so it too can be shipped to
-    worker processes.
-    """
-    programs = list(programs)
-    if not programs:
-        raise ProgramError("merge_programs needs at least one program")
-    if share not in (None, False, "constants"):
-        raise ProgramError(
-            f"unknown share mode {share!r}; expected 'constants' or None")
-    for p in programs:
-        p.validate()
-    max_nodes = max(len(p.nodes) for p in programs)
-    if stagger is None:
-        stagger = max(1, (max_nodes + 1) // 2)
-    stagger = int(stagger)
-    if stagger < 1:
-        raise ProgramError(f"stagger must be >= 1, got {stagger}")
-
-    merged = Program(name or
-                     f"merged[{len(programs)}]({programs[0].name})")
-    prefixes = tuple(f"R{i}." for i in range(len(programs)))
-    value_maps: List[Dict[str, str]] = [dict() for _ in programs]
-    #: id(array) -> merged constant name (cross-part weight sharing)
-    const_by_array: Dict[int, str] = {}
-    shared_constants = 0
-    cross_part_shared = 0
-    roots: List[str] = []
-
-    # Declare every part's inputs and constants up front (declaration
-    # order does not matter for planning -- only node emission order does).
-    for i, part in enumerate(programs):
-        for vname, spec in part.values.items():
-            if spec.role == ROLE_INPUT:
-                new = merged.add_input(prefixes[i] + vname,
-                                       layout=spec.layout, shape=spec.shape,
-                                       dtype=spec.dtype)
-                value_maps[i][vname] = new
-                merged.merge_groups[new] = i
-            elif spec.role == ROLE_CONSTANT:
-                existing = (const_by_array.get(id(spec.array))
-                            if share == "constants" else None)
-                if existing is not None:
-                    value_maps[i][vname] = existing
-                    shared_constants += 1
-                    if merged.merge_groups.get(existing) != i:
-                        cross_part_shared += 1
-                    continue
-                new = merged.add_constant(prefixes[i] + vname, spec.array)
-                value_maps[i][vname] = new
-                merged.merge_groups[new] = i
-                if share == "constants":
-                    const_by_array[id(spec.array)] = new
-
-    # Emit nodes in staggered round-robin order: part i's node j at tick
-    # i * stagger + j.  Emission order is topological (each part already
-    # is, and parts are disjoint), and the planner's topological order
-    # preserves it, so the stagger directly shapes liveness overlap.
-    ticks: List[Tuple[int, int]] = []
-    for i, part in enumerate(programs):
-        for j in range(len(part.nodes)):
-            ticks.append((i * stagger + j, i))
-    ticks.sort(key=lambda t: (t[0], t[1]))
-    cursor = [0] * len(programs)
-    for _tick, i in ticks:
-        part = programs[i]
-        node = part.nodes[cursor[i]]
-        cursor[i] += 1
-        vmap = value_maps[i]
-        for oname in node.outputs:
-            spec = part.values[oname]
-            new = merged._declare(ValueSpec(
-                name=prefixes[i] + oname, layout=spec.layout,
-                shape=spec.shape, dtype=spec.dtype))
-            vmap[oname] = new
-            merged.merge_groups[new] = i
-        renamed = dataclasses.replace(
-            node,
-            name=prefixes[i] + node.name,
-            inputs=tuple(vmap[n] for n in node.inputs),
-            outputs=tuple(vmap[n] for n in node.outputs),
-            elementwise=tuple(vmap[n] for n in node.elementwise))
-        if isinstance(node, KernelNode):
-            renamed.bindings = {t: vmap[v]
-                                for t, v in node.bindings.items()}
-        merged._add_node(renamed)
-        if cursor[i] == 1:
-            # The part's first node: its outputs are the merge roots --
-            # the planner gives them fresh slabs so no slab-reuse
-            # anti-edge can delay the part's entry step, keeping all K
-            # parts in ``ready_steps``.
-            roots.extend(vmap[n] for n in node.outputs)
-
-    for i, part in enumerate(programs):
-        for oname in part.outputs:
-            merged.mark_output(value_maps[i][oname])
-
-    merged.merge_roots = frozenset(roots)
-    merged.merge_info = MergeInfo(
-        prefixes=prefixes,
-        value_maps=tuple(value_maps),
-        shared_constants=shared_constants,
-        stagger=stagger)
-    # The generic merged recipe rebuilds each part from its own recipe and
-    # re-merges.  That is only faithful when no constant was deduplicated
-    # *across* parts: rebuilding unpickles each part's kwargs separately,
-    # so cross-part array identity -- the thing ``share="constants"``
-    # keys on -- would not survive and the rebuilt plan would diverge.
-    # Programs whose parts share weights should register a dedicated wide
-    # builder instead (e.g. the encoder's ``encoder_wide`` builder, which
-    # unpickles the weights once and shares the one object across parts).
-    if (all(p.recipe is not None for p in programs)
-            and cross_part_shared == 0):
-        merged.recipe = ("merged", {
-            "parts": [p.recipe for p in programs],
-            "share": share, "stagger": stagger})
-    return merged

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -41,7 +40,6 @@ from repro.core.engine import (
     ExecutionEngine,
     HOST_STEP,
     KERNEL_STEP,
-    SerialEngine,
     get_engine,
 )
 from repro.core.executor import (
@@ -51,17 +49,14 @@ from repro.core.executor import (
     shared_executor,
 )
 from repro.core.fusion import FusedHostNode, FusedKernelNode
-from repro.core.planner import ProgramPlan, ShardSpec, plan_program, plan_shards
+from repro.core.planner import ProgramPlan, plan_program
 from repro.core.prelude import PreludeCache
 from repro.core.program import (
-    HostNode,
     KernelNode,
     Program,
     ProgramError,
     ROLE_CONSTANT,
     ROLE_INPUT,
-    ROLE_INTERMEDIATE,
-    merge_programs,
 )
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.scheduledb import ScheduleDB
@@ -72,9 +67,8 @@ from repro.core.tunespace import activate_policy, deactivate_policy
 _KERNEL_STEP = KERNEL_STEP
 _HOST_STEP = HOST_STEP
 
-#: The fallback engine used when ``CompiledProgram.run`` is called without
-#: one (the original flat-dispatch-loop behaviour, bit for bit).
-_FALLBACK_ENGINE = SerialEngine()
+#: The engine used when ``CompiledProgram.run`` is called without one.
+_FALLBACK_ENGINE = ExecutionEngine()
 
 
 class CompiledProgram:
@@ -83,17 +77,15 @@ class CompiledProgram:
     Holds the compiled kernels, the arena plan (double-buffered by
     default; in-place slab sharing with ``inplace=True``), the allocated
     slabs and a flat list of dispatch steps with every buffer
-    pre-resolved.  *How* the steps run is the
-    :class:`~repro.core.engine.ExecutionEngine`'s job -- ``run`` takes an
-    engine and hands it the steps plus the plan's dependence edges.
+    pre-resolved.  ``run`` hands the steps, in plan order, to an
+    :class:`~repro.core.engine.ExecutionEngine`.
     """
 
     def __init__(self, program: Program, executor: Executor,
                  inplace: bool = False,
                  fuse: bool = False,
-                 slab_buffers: Union[Sequence[np.ndarray], Callable[
-                     [Sequence[int]], Sequence[np.ndarray]], None] = None,
-                 input_buffers: Optional[Dict[str, np.ndarray]] = None,
+                 slab_buffers: Optional[Callable[
+                     [Sequence[int]], Sequence[np.ndarray]]] = None,
                  run_lock: Optional[Any] = None):
         program.validate()
         self.program = program
@@ -102,11 +94,11 @@ class CompiledProgram:
 
         # 1. Liveness + arena planning.  With ``fuse`` the planner first
         #    collapses fusable regions (:mod:`repro.core.fusion`) and the
-        #    plan -- order, slab assignment, dependence edges -- is the
-        #    *fused* program's; internalised intermediates have no slab at
-        #    all.  Everything below (compilation, buffers, steps) follows
-        #    the planned graph, while ``self.program`` stays the original
-        #    (callers address it; engines ship its recipe).
+        #    plan -- order and slab assignment -- is the *fused*
+        #    program's; internalised intermediates have no slab at all.
+        #    Everything below (compilation, buffers, steps) follows the
+        #    planned graph, while ``self.program`` stays the original
+        #    (callers address it).
         self.plan: ProgramPlan = plan_program(program, inplace=inplace,
                                               fuse=fuse)
         work = self.plan.fused_program \
@@ -157,53 +149,25 @@ class CompiledProgram:
 
         # 3. Allocate the arena slabs and the persistent input staging
         #    buffers once; every later run reuses them.  ``slab_buffers``
-        #    / ``input_buffers`` optionally supply caller-owned flat
-        #    arrays instead (the process-pool engine backs them with
-        #    shared memory so workers dispatch into the parent's arena;
-        #    a session passes a callable handing out its one shared
-        #    arena, with ``run_lock`` serialising the runs that use it).
+        #    optionally hands out flat float32 buffers of at least the
+        #    sizes asked for instead (a session's one shared arena, with
+        #    ``run_lock`` serialising the runs that use it).
         self._run_lock = run_lock if run_lock is not None \
             else contextlib.nullcontext()
-        if callable(slab_buffers):
-            slab_buffers = slab_buffers(self.plan.slab_elements)
+        sizes = self.plan.slab_elements
         if slab_buffers is None:
             self._slabs: List[np.ndarray] = [
-                np.zeros(n, dtype=np.float32)
-                for n in self.plan.slab_elements
-            ]
+                np.zeros(n, dtype=np.float32) for n in sizes]
         else:
-            slab_buffers = list(slab_buffers)
-            if len(slab_buffers) < len(self.plan.slab_elements):
-                raise ProgramError(
-                    f"plan needs {len(self.plan.slab_elements)} slabs but "
-                    f"only {len(slab_buffers)} buffers were provided")
-            self._slabs = []
-            for i, n in enumerate(self.plan.slab_elements):
-                buf = slab_buffers[i]
-                if buf.dtype != np.float32 or buf.ndim != 1 or buf.size < n:
-                    raise ProgramError(
-                        f"slab buffer {i} must be a flat float32 array of "
-                        f">= {n} elements, got {buf.dtype} {buf.shape}")
-                self._slabs.append(buf[:n])
+            self._slabs = [buf[:n] for buf, n in
+                           zip(slab_buffers(sizes), sizes)]
         flat: Dict[str, np.ndarray] = {}
         for name, spec in work.values.items():
             if spec.role == ROLE_CONSTANT:
                 flat[name] = np.ascontiguousarray(
                     spec.array, dtype=spec.dtype).reshape(-1)
             elif spec.role == ROLE_INPUT:
-                stage = (input_buffers.get(name)
-                         if input_buffers is not None else None)
-                if stage is None:
-                    stage = np.zeros(spec.num_elements, dtype=spec.dtype)
-                else:
-                    if (stage.size != spec.num_elements
-                            or stage.dtype != np.dtype(spec.dtype)):
-                        raise ProgramError(
-                            f"input buffer {name!r} must be "
-                            f"{spec.num_elements} x {spec.dtype}, got "
-                            f"{stage.size} x {stage.dtype}")
-                    stage = stage.reshape(-1)
-                flat[name] = stage
+                flat[name] = np.zeros(spec.num_elements, dtype=spec.dtype)
             else:
                 if np.dtype(spec.dtype) != np.float32:
                     raise ProgramError(
@@ -386,10 +350,8 @@ class CompiledProgram:
         false (views into the arena, only valid until the next run --
         of *any* program of the owning session, which shares one arena).
 
-        ``engine`` selects the execution strategy over the pre-resolved
-        steps (defaults to a process-wide :class:`SerialEngine` -- the
-        original flat dispatch loop); any engine respecting the plan's
-        dependence edges produces bit-identical outputs.
+        ``engine`` runs the pre-resolved steps (defaults to a
+        process-wide :class:`~repro.core.engine.ExecutionEngine`).
         """
         t0 = time.perf_counter()
         with self._run_lock:
@@ -426,82 +388,6 @@ class CompiledProgram:
         return result
 
 
-@dataclass
-class ShardedProgram:
-    """A ragged batch cut into shards, with one program per shard.
-
-    Produced by :func:`shard_program`.  ``programs[i]`` is built for
-    ``shards[i].lengths``; with ``fused`` set, all shard programs are
-    additionally merged into one wide program (disjoint subgraphs sharing
-    weights) so a width-aware engine can run the shards concurrently
-    inside a single dispatch.  Execute through
-    :meth:`Session.run_sharded`, which slices the batch's inputs per
-    shard and reassembles outputs in order.
-    """
-
-    shards: List[ShardSpec]
-    programs: List[Program]
-    fused: Optional[Program] = None
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def total_tokens(self) -> int:
-        return self.shards[-1].token_stop
-
-    @property
-    def num_sequences(self) -> int:
-        return self.shards[-1].seq_stop
-
-
-def shard_program(build: Callable[[Tuple[int, ...]], Program],
-                  lengths: Sequence[int], n_shards: int, *,
-                  fused: bool = False, share: str = "constants",
-                  stagger: Optional[int] = None,
-                  build_fused: Optional[
-                      Callable[[List[Tuple[int, ...]]], Program]] = None,
-                  ) -> ShardedProgram:
-    """Shard a batch-parallel program along its governing (batch) dim.
-
-    ``build(lengths_tuple)`` must return the program for one raggedness
-    signature (e.g. ``lambda ls: encoder_stack_program(ls, w, cfg)``); it
-    is called once per shard with that shard's contiguous slice of
-    ``lengths``.  Because shards never split a sequence and the model's
-    computation is independent per sequence, each shard program computes
-    exactly what a per-request run computes -- per-shard execution (and
-    fused execution, which runs the very same node functions on the very
-    same per-shard arrays) is bit-identical to the unsharded baseline at
-    sequence granularity.
-
-    With ``fused=True`` the shard programs are merged via
-    :func:`~repro.core.program.merge_programs` (weights shared across
-    shards by array identity) so ``ready_steps`` carries one entry per
-    shard and a pipelined / process-pool engine can overlap them.  Note
-    the merged program only carries a worker-shippable rebuild recipe
-    when the shards share *no* constants (rebuilding separately pickled
-    parts would break cross-shard array identity and diverge from the
-    parent's plan); to run fused shards on a
-    :class:`~repro.core.engine.ProcessPoolEngine`, pass ``build_fused``
-    -- a model-provided wide builder called with all shard length
-    vectors at once (e.g.
-    ``lambda groups: build_encoder_wide_program(groups, w, cfg)``) whose
-    registered rebuild recipe re-shares the weights on the worker side.
-    """
-    shards = plan_shards(lengths, n_shards)
-    programs = [build(s.lengths) for s in shards]
-    merged = None
-    if build_fused is not None:
-        merged = build_fused([s.lengths for s in shards])
-    elif fused:
-        if len(programs) == 1:
-            merged = programs[0]
-        else:
-            merged = merge_programs(programs, share=share, stagger=stagger)
-    return ShardedProgram(shards=shards, programs=programs, fused=merged)
-
-
 class Session:
     """Compiles ragged programs ahead of time and executes mini-batches.
 
@@ -517,10 +403,9 @@ class Session:
     program_capacity:
         LRU bound on compiled programs kept alive by this session.
     engine:
-        Execution strategy over compiled-program steps: ``"serial"``
-        (default -- the flat dispatch loop), ``"pipelined"`` (dependence-
-        driven worker-pool dispatch overlapping host and kernel nodes),
-        or an :class:`~repro.core.engine.ExecutionEngine` instance.
+        The loop over compiled-program steps: ``"serial"`` (default) or
+        an :class:`~repro.core.engine.ExecutionEngine` instance (e.g. one
+        that traces each step).
     inplace:
         Plan element-wise nodes' outputs into their dying input's arena
         slab instead of double-buffering (bit-identical by construction;
@@ -528,9 +413,8 @@ class Session:
     fault_injector:
         Optional :class:`~repro.serving.faults.FaultInjector` threaded
         through the session's injection points (``"compile"`` on a
-        program-cache miss, ``"run"`` on a compiled program's outputs)
-        and onto the session's engine (``"pipelined_worker"``).  ``None``
-        (default) leaves every path untouched.
+        program-cache miss, ``"run"`` on a compiled program's outputs).
+        ``None`` (default) leaves every path untouched.
     tune:
         Schedule-autotuning mode.  ``None`` (default) runs the
         hand-picked schedules untouched.  ``"load"`` activates a
@@ -614,17 +498,10 @@ class Session:
         #: chain-level entry instead of the session default.
         self.tuned_fuse_overrides = 0
         #: the session's execution engine (shared by every compiled
-        #: program run through this session).  An engine passed as an
-        #: *instance* may be shared across sessions, so only engines the
-        #: session constructed itself (from a name / ``None``) are shut
-        #: down by :meth:`close`.
-        self._owns_engine = not isinstance(engine, ExecutionEngine)
+        #: program run through this session).
         self.engine: ExecutionEngine = get_engine(engine)
-        #: fault injection for this session's compile/run paths; also
-        #: wired onto the engine so pipelined workers fire their point.
+        #: fault injection for this session's compile/run paths.
         self.fault_injector = fault_injector
-        if fault_injector is not None:
-            self.engine.fault_injector = fault_injector
         #: whether programs are planned with in-place slab sharing.
         self.inplace = bool(inplace)
         #: whether programs are planned with kernel/host fusion.
@@ -735,11 +612,6 @@ class Session:
                                    inplace=self.inplace, fuse=fuse,
                                    slab_buffers=self._arena_slabs,
                                    run_lock=self._arena_lock)
-        if self.schedule_db is not None:
-            # Engines that ship programs to worker processes forward this
-            # so workers activate the same tuned-schedule policy before
-            # rebuilding (ProcessPoolEngine._install).
-            compiled.schedule_db_root = str(self.schedule_db.root)
         lowered = self.executor.lower_count - lowers_before
         from_disk = self.executor.disk_hits - disk_before
         aot_warm = lowered == 0 and from_disk > 0
@@ -801,18 +673,12 @@ class Session:
     def run(self, program: Program,
             inputs: Dict[str, Union[np.ndarray, RaggedTensor]],
             copy_outputs: bool = True,
-            signature: Optional[Any] = None,
-            engine: Optional[ExecutionEngine] = None) -> Dict[str, Any]:
+            signature: Optional[Any] = None) -> Dict[str, Any]:
         """Compile (cached) and execute a program over bound inputs
-        through the session's execution engine.
-
-        ``engine`` overrides the session's engine for this run only --
-        the serving scheduler uses this to retry a batch on a
-        :class:`SerialEngine` after a pipelined worker failure.
-        """
+        through the session's execution engine."""
         compiled = self.compile(program, signature=signature)
         result = compiled.run(inputs, copy_outputs=copy_outputs,
-                              engine=engine or self.engine,
+                              engine=self.engine,
                               fault_injector=self.fault_injector)
         self.run_count += 1
         return result
@@ -854,96 +720,6 @@ class Session:
                               copy_outputs=copy_outputs if i == last
                               else False)
         return result
-
-    def run_sharded(self, sharded: ShardedProgram,
-                    inputs: Dict[str, Union[np.ndarray, RaggedTensor]],
-                    signature: Optional[Any] = None,
-                    engine: Optional[ExecutionEngine] = None
-                    ) -> Dict[str, np.ndarray]:
-        """Execute a :class:`ShardedProgram` and reassemble its outputs.
-
-        Dense inputs are sliced per shard along their leading dimension:
-        an array whose first axis is the batch's total token count is cut
-        at the shard's token range, one whose first axis is the sequence
-        count at the shard's sequence range.  Outputs (dense, leading
-        token/sequence axis) are concatenated back in shard order --
-        bit-identical reassembly, since shards never split a sequence and
-        each shard program runs the same node functions on the same
-        per-shard arrays as an unsharded run of just those sequences.
-
-        Fused sharded programs execute as *one* dispatch of the merged
-        wide program (each shard a disjoint subgraph), which is where a
-        width-aware engine overlaps the shards; unfused ones run the
-        shard programs back to back.
-        """
-        shards = sharded.shards
-        total_tokens = sharded.total_tokens
-        total_seqs = sharded.num_sequences
-
-        def _slice(name: str, shard: ShardSpec) -> np.ndarray:
-            try:
-                value = inputs[name]
-            except KeyError:
-                raise ProgramError(
-                    f"missing program input {name!r}") from None
-            if isinstance(value, RaggedTensor):
-                raise ProgramError(
-                    f"run_sharded slices dense inputs only; input {name!r} "
-                    "is a RaggedTensor (pack it first)")
-            arr = np.asarray(value)
-            if arr.ndim >= 1 and arr.shape[0] == total_tokens:
-                return arr[shard.token_start:shard.token_stop]
-            if arr.ndim >= 1 and arr.shape[0] == total_seqs:
-                return arr[shard.seq_start:shard.seq_stop]
-            raise ProgramError(
-                f"cannot shard input {name!r}: leading dim of shape "
-                f"{arr.shape} matches neither total tokens "
-                f"({total_tokens}) nor the sequence count ({total_seqs})")
-
-        def _dense(oname: str, value: Any) -> np.ndarray:
-            if isinstance(value, RaggedTensor):
-                raise ProgramError(
-                    f"run_sharded only reassembles dense outputs; "
-                    f"output {oname!r} is ragged")
-            return np.asarray(value)
-
-        if sharded.fused is not None:
-            info = sharded.fused.merge_info
-            if info is None:
-                # Single shard: the "fused" program is the shard program.
-                bound = {spec.name: _slice(spec.name, shards[0])
-                         for spec in sharded.fused.input_values()}
-                out = self.run(sharded.fused, bound, signature=signature,
-                               engine=engine)
-                return {k: _dense(k, v) for k, v in out.items()}
-            bound = {}
-            for i, shard in enumerate(shards):
-                for spec in sharded.programs[i].input_values():
-                    bound[info.input_name(i, spec.name)] = _slice(
-                        spec.name, shard)
-            merged_out = self.run(sharded.fused, bound, copy_outputs=False,
-                                  signature=signature, engine=engine)
-            result: Dict[str, np.ndarray] = {}
-            for oname in sharded.programs[0].outputs:
-                parts = [_dense(oname,
-                                merged_out[info.output_name(i, oname)])
-                         for i in range(len(shards))]
-                result[oname] = np.concatenate(parts, axis=0)
-            return result
-
-        pieces: Dict[str, List[np.ndarray]] = {}
-        for i, shard in enumerate(shards):
-            program = sharded.programs[i]
-            bound = {spec.name: _slice(spec.name, shard)
-                     for spec in program.input_values()}
-            # Copies are required: shards with equal length vectors share
-            # one compiled program, whose arena the next shard overwrites.
-            out = self.run(program, bound, copy_outputs=True,
-                           engine=engine)
-            for oname, value in out.items():
-                pieces.setdefault(oname, []).append(_dense(oname, value))
-        return {oname: np.concatenate(vals, axis=0)
-                for oname, vals in pieces.items()}
 
     # -- memoization ------------------------------------------------------------
 
@@ -1000,25 +776,8 @@ class Session:
             self.executor.reset()
 
     def close(self) -> None:
-        """Release the engine's worker resources (idempotent).
-
-        A pipelined engine keeps a thread pool alive across runs, and a
-        process-pool engine worker processes plus shared-memory arenas;
-        call this (or use the session as a context manager) when the
-        session is done, so repeatedly constructed sessions do not
-        accumulate idle workers for the process lifetime.  The session
-        remains usable afterwards -- the engine recreates its pool
-        lazily on the next run.  **Ownership rule**: an engine passed in
-        as an *instance* is left alone -- it may be shared across
-        sessions, serving other sessions' in-flight runs -- and closing
-        the session any number of times never touches it; close a shared
-        engine explicitly via ``engine.close()`` when the *owner* is
-        done with it (that call too is idempotent and reuse-safe).  Only
-        engines the session constructed itself (from a name or ``None``)
-        are shut down here.
-        """
-        if self._owns_engine:
-            self.engine.close()
+        """Deactivate the session's tuned-schedule policy (idempotent).
+        The session remains usable afterwards."""
         if self._policy is not None:
             deactivate_policy(self._policy)
 

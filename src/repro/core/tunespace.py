@@ -27,8 +27,8 @@ Three pieces live here:
 * the **schedule policy** -- :func:`activate_policy` installs a
   process-global (db, backend) lookup; node builders consult
   :func:`applied_point` and fall back to the default schedule when no
-  tuned point exists.  ``Session(tune=...)`` and ``ProcessPoolEngine``
-  workers both activate it, so a fresh worker starts tuned.
+  tuned point exists.  ``Session(tune=...)`` activates it for the
+  session's lifetime.
 
 The module also hosts the registry of the lens-bytes-keyed schedule
 memos (``@lru_cache`` in the ops modules): each memo registers itself

@@ -32,11 +32,7 @@ import numpy as np
 
 from repro.core.extents import ceil_to
 from repro.core.prelude import PreludeBuilder, bulk_pad_lengths
-from repro.core.program import (
-    Program,
-    merge_programs,
-    register_program_builder,
-)
+from repro.core.program import Program
 from repro.core.session import Session, default_session
 from repro.core.storage import RaggedLayout
 from repro.core.tunespace import TuneParam, TunePoint, TuneSpace, register_tune_op
@@ -582,9 +578,6 @@ def build_encoder_program(
     out_tokens = _append_encoder_layer(program, tokens, weights,
                                        RaggedBatch(lengths), config, masked)
     program.mark_output(out_tokens)
-    program.recipe = ("builder", "repro.models.transformer", "encoder",
-                      dict(lengths=lengths, weights=weights, config=config,
-                           masked=masked))
     return program
 
 
@@ -655,10 +648,6 @@ def build_encoder_stack_program(
             prefix=f"L{i}.",
             out="out_tokens" if i == last else f"L{i}.out_tokens")
     program.mark_output(value)
-    program.recipe = ("builder", "repro.models.transformer",
-                      "encoder_stack",
-                      dict(lengths=lengths, weights=per_layer, config=config,
-                           masked=masked))
     return program
 
 
@@ -710,81 +699,6 @@ def encoder_stack_program(
         key, lambda: (build_encoder_stack_program(lengths, per_layer, config,
                                                   masked), per_layer))
     return program
-
-
-def build_encoder_wide_program(
-    groups: Sequence[Sequence[int]],
-    weights,
-    config: TransformerConfig = PAPER_BASE_CONFIG,
-    masked: bool = False,
-    n_layers: Optional[int] = None,
-    stagger: Optional[int] = None,
-) -> Program:
-    """Declare K independent encoder stacks fused into *one* wide program.
-
-    ``groups`` is one length vector per request group (or batch shard);
-    group ``i`` becomes the disjoint subgraph ``R{i}.`` of the merged
-    program, with the weight constants shared across all groups by array
-    identity.  The merged graph has K independent chains, so
-    ``ready_steps`` carries K entries and a width-aware engine
-    (:class:`~repro.core.engine.PipelinedEngine` /
-    :class:`~repro.core.engine.ProcessPoolEngine`) can genuinely overlap
-    the groups -- the graph width PR 5's chain-shaped stacks lacked.
-
-    The program carries an ``encoder_wide`` rebuild recipe that unpickles
-    the weights *once* and shares the one object across every part, so
-    worker processes reconstruct the identical deduplicated graph (a
-    generic part-by-part rebuild would lose cross-part array identity).
-    """
-    per_layer = _weights_per_layer(weights, n_layers,
-                                   default_layers=config.num_layers)
-    groups = [tuple(int(n) for n in g) for g in groups]
-    if not groups:
-        raise ValueError("encoder wide program needs at least one group")
-    parts = [build_encoder_stack_program(g, per_layer, config, masked)
-             for g in groups]
-    if len(parts) == 1:
-        return parts[0]
-    merged = merge_programs(parts, share="constants", stagger=stagger)
-    merged.recipe = ("builder", "repro.models.transformer", "encoder_wide",
-                     dict(groups=groups, weights=per_layer, config=config,
-                          masked=masked, stagger=stagger))
-    return merged
-
-
-def encoder_wide_program(
-    groups: Sequence[Sequence[int]],
-    weights,
-    config: TransformerConfig = PAPER_BASE_CONFIG,
-    masked: bool = False,
-    n_layers: Optional[int] = None,
-    session: Optional[Session] = None,
-    stagger: Optional[int] = None,
-) -> Program:
-    """The K-group fused encoder program, memoized on the session (keyed
-    by the group length vectors, per-layer weight identities, config,
-    masking and stagger; weights are pinned for the memo entry's life).
-    Group ``i``'s input is ``R{i}.tokens`` and its output
-    ``R{i}.out_tokens`` (plain ``tokens`` / ``out_tokens`` when only one
-    group is given -- the merge is skipped)."""
-    session = session or default_session()
-    per_layer = _weights_per_layer(weights, n_layers,
-                                   default_layers=config.num_layers)
-    groups = tuple(tuple(int(n) for n in g) for g in groups)
-    key = ("encoder-wide-program", groups,
-           tuple(id(w) for w in per_layer), bool(masked), stagger,
-           config.hidden_size, config.num_heads, config.head_size,
-           config.ff_size, config.loop_pad, config.bulk_pad,
-           config.attention_tile)
-    program, _pinned = session.memoize(
-        key, lambda: (build_encoder_wide_program(
-            groups, per_layer, config, masked, stagger=stagger), per_layer))
-    return program
-
-
-register_program_builder("encoder", build_encoder_program)
-register_program_builder("encoder_stack", build_encoder_stack_program)
-register_program_builder("encoder_wide", build_encoder_wide_program)
 
 
 def _encoder_chain_tune_space(**_) -> TuneSpace:

@@ -14,15 +14,14 @@ or corrupt the value flowing through:
     packed outputs.  ``corrupt`` truncates the output rows so shape
     validation trips; ``raise`` emulates a kernel failure.  The scheduler
     recovers by bisecting the batch to isolate the poison request.
-``"pipelined_worker"``
-    Inside a :class:`~repro.core.engine.PipelinedEngine` worker, before a
-    step dispatches.  The scheduler retries the batch once on a
-    :class:`~repro.core.engine.SerialEngine`.
 ``"demux"``
     The scheduler's demultiplexing path (including the
     ``overlap_demux`` background worker), fired on the packed output
     before it is split into per-request rows.  The scheduler retries the
     demux once synchronously.
+``"admission"``
+    The scheduler's admission-policy selection round.  The scheduler
+    falls back to FIFO selection for that round.
 
 Every decision is deterministic: faults fire on explicit call indices
 (``calls``), on batches containing a given ``request_id``, up to
@@ -42,18 +41,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Type
+from typing import Any, Dict, FrozenSet, List, Optional, Type
 
 import numpy as np
 
 from repro.core.errors import ExecutionError
 
-#: The named injection points threaded through the stack.  "admission"
-#: fires inside the scheduler's admission-policy selection round, so the
-#: FIFO-fallback path of a faulty policy is testable like every other
-#: recovery path.
-INJECTION_POINTS = ("compile", "run", "pipelined_worker", "process_worker",
-                    "demux", "admission")
+#: The named injection points threaded through the stack.
+INJECTION_POINTS = ("compile", "run", "demux", "admission")
 
 #: What a firing fault does to the call it interrupts.
 FAULT_ACTIONS = ("raise", "delay", "corrupt")
@@ -122,8 +117,8 @@ def _corrupt(payload: Any) -> Any:
 class FaultInjector:
     """A seeded, deterministic fault schedule over named injection points.
 
-    Thread-safe: ``fire`` is called from the main scheduling thread, from
-    pipelined-engine workers and from the overlap-demux worker; all
+    Thread-safe: ``fire`` is called from the main scheduling thread and
+    from the overlap-demux worker; all
     counters are guarded by one lock.  The seeded generator is only
     consulted by probability faults, so call-indexed and request-matched
     faults are deterministic regardless of threading.

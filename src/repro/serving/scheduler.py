@@ -18,26 +18,11 @@ feeds those live hit-rate / padding-overhead statistics back into
 ``bucket_tolerance`` (power-of-two steps, masked-only above 1, so the
 padding stays exact and bucket merging stays monotone).
 
-Batches execute through the session's pluggable
-:class:`~repro.core.engine.ExecutionEngine` (construct the session with
-``engine="pipelined"`` to overlap host and kernel nodes *within* a
-batch), and with ``overlap_demux=True`` the scheduler additionally
-pipelines *across* batches: the demultiplexing of batch ``k``'s outputs
-into per-request rows runs on a background worker while the main thread
-already executes batch ``k + 1``.
-
-With ``wide_batches=K > 1`` the scheduler additionally dispatches
-*wide*: each scheduling step pops up to ``K`` signature-canonical
-sub-batches and fuses them into one
-:func:`~repro.core.program.merge_programs`-merged program whose ``K``
-disjoint subgraphs share the weight constants, so a width-capable
-engine (:class:`~repro.core.engine.PipelinedEngine`,
-:class:`~repro.core.engine.ProcessPoolEngine`) sees genuine inter-batch
-parallelism in ``ready_steps`` instead of one serial chain.  Outputs
-demultiplex per sub-batch (``R{i}.out_tokens``) and then per request,
-exactly as narrow dispatch does; a wide execution failure falls back to
-the per-batch recovery ladder below (``wide_fallbacks`` counts these),
-so fault semantics are unchanged.
+Batches execute through the session's compiled programs, and with
+``overlap_demux=True`` the scheduler pipelines *across* batches: the
+demultiplexing of batch ``k``'s outputs into per-request rows runs on a
+background worker while the main thread already executes batch
+``k + 1``.
 
 Bucketing trades compute for reuse exactly like the paper's partial
 padding: a tolerance ``t`` pads each sequence with at most ``t - 1``
@@ -65,9 +50,7 @@ order:
 3. **Graceful degradation.**  A compile failure
    (:class:`~repro.core.errors.CompileError` / lowering errors) for a
    batch's signature falls back to the retained op-by-op execution path
-   (bit-identical when it uses the same codegen backend); a pipelined
-   engine failure retries the batch once on a
-   :class:`~repro.core.engine.SerialEngine`.
+   (bit-identical when it uses the same codegen backend).
 4. **Failure isolation.**  A batch that still raises is *bisected*:
    split-and-retry halves isolate the poison request, healthy rows
    re-run (and complete), and the poison request -- after its retry
@@ -95,7 +78,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
 
 import numpy as np
 
-from repro.core.engine import PipelinedEngine, ProcessPoolEngine, SerialEngine
 from repro.core.errors import (
     CompileError,
     DeadlineExceeded,
@@ -109,7 +91,6 @@ from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.models.transformer import (
     _weights_per_layer,
     encoder_stack_program,
-    encoder_wide_program,
     run_encoder_layer_opbyop,
 )
 from repro.ops.projection import unpack_tokens
@@ -208,13 +189,6 @@ class BatchScheduler:
         executes.  ``step`` stays synchronous either way.  Off by
         default; bit-identical when on (the demux math is unchanged,
         only *when* it runs moves).
-    wide_batches:
-        Fuse up to this many sub-batches into one merged wide program
-        per dispatch (``1``, the default, keeps the narrow per-batch
-        dispatch path byte for byte).  Values above 1 only pay off on a
-        width-capable engine; outputs stay bit-identical to narrow
-        dispatch either way, and any wide failure falls back to
-        per-batch execution with the full recovery ladder.
     queue_capacity:
         Bound on pending requests; ``None`` (default) is unbounded.
     shed_policy:
@@ -292,7 +266,6 @@ class BatchScheduler:
                  n_layers: Optional[int] = None, max_batch_size: int = 8,
                  bucket_tolerance: int = 1, sort_by_length: bool = True,
                  log_batches: bool = False, overlap_demux: bool = False,
-                 wide_batches: int = 1,
                  queue_capacity: Optional[int] = None,
                  shed_policy: str = "reject_newest",
                  default_deadline_s: Optional[float] = None,
@@ -329,9 +302,6 @@ class BatchScheduler:
         if max_backoff_s <= 0:
             raise ValueError(
                 f"max_backoff_s must be positive, got {max_backoff_s}")
-        if wide_batches <= 0:
-            raise ValueError(
-                f"wide_batches must be positive, got {wide_batches}")
         if adaptive_tolerance is True:
             adaptive_tolerance = AdaptiveTolerance(
                 max_tolerance=16 if masked else 1)
@@ -353,7 +323,6 @@ class BatchScheduler:
         self.sort_by_length = bool(sort_by_length)
         self.log_batches = bool(log_batches)
         self.overlap_demux = bool(overlap_demux)
-        self.wide_batches = int(wide_batches)
         self.default_deadline_s = default_deadline_s
         self.max_retries = int(max_retries)
         self.retry_backoff_s = float(retry_backoff_s)
@@ -382,8 +351,6 @@ class BatchScheduler:
         self._service_ewma: Optional[float] = None
         #: lazily created single-worker pool for overlapped demultiplexing
         self._demux_pool = None
-        #: lazily created serial engine for pipelined-failure retries
-        self._serial_fallback: Optional[SerialEngine] = None
 
         self.queue = RequestQueue(capacity=queue_capacity,
                                   shed_policy=shed_policy, clock=clock)
@@ -403,12 +370,7 @@ class BatchScheduler:
         self.retries = 0
         self.isolation_runs = 0
         self.degraded_batches = 0
-        self.engine_fallbacks = 0
         self.demux_recoveries = 0
-        #: wide-dispatch counters (see ``stats``)
-        self.wide_dispatches = 0
-        self.wide_fallbacks = 0
-        self.max_width_achieved = 0
         #: SLO counters: completions delivered within / past the deadline
         #: (no-deadline completions count as goodput), admission-policy
         #: failures that fell back to FIFO selection, and adaptive
@@ -439,7 +401,7 @@ class BatchScheduler:
         #: shows up; give each scheduler its own session to fully isolate.
         self._baseline = self._session_counters()
         self._signatures_seen: set = set()
-        #: signature -> narrow program uid, recorded when a batch's
+        #: signature -> program uid, recorded when a batch's
         #: program is (re)built, so ``fusion_stats`` can look compiled
         #: programs up by uid without triggering a single program build.
         #: Bounded like ``_signatures_seen``.
@@ -602,22 +564,10 @@ class BatchScheduler:
             return None
         return self._form_batch(requests)
 
-    def _next_batches(self) -> List[ScheduledBatch]:
-        """Pop up to ``wide_batches`` canonical sub-batches for one
-        dispatch; ``[]`` when idle.  With ``wide_batches=1`` this is just
-        ``_next_batch`` in a list."""
-        batches: List[ScheduledBatch] = []
-        while len(batches) < self.wide_batches:
-            batch = self._next_batch()
-            if batch is None:
-                break
-            batches.append(batch)
-        return batches
-
-    def _run_program(self, batch: ScheduledBatch, copy_outputs: bool,
-                     engine=None) -> np.ndarray:
-        """Execute one batch's program through the session (and hence its
-        execution engine); returns the packed output token matrix."""
+    def _run_program(self, batch: ScheduledBatch,
+                     copy_outputs: bool) -> np.ndarray:
+        """Execute one batch's program through the session; returns the
+        packed output token matrix."""
         program = encoder_stack_program(
             batch.padded_lengths, self.weights, self.config,
             masked=self.masked, n_layers=self.n_layers, session=self.session)
@@ -631,8 +581,7 @@ class BatchScheduler:
             batch.padded_inputs(self.config.hidden_size), axis=0)
         return self.session.run(program, {"tokens": packed},
                                 copy_outputs=copy_outputs,
-                                signature=batch.signature,
-                                engine=engine)["out_tokens"]
+                                signature=batch.signature)["out_tokens"]
 
     def _run_opbyop(self, batch: ScheduledBatch) -> np.ndarray:
         """The degraded execution path: op-by-op, one dispatch per
@@ -663,15 +612,14 @@ class BatchScheduler:
                 f"{expected}; treating the batch as failed (corrupted "
                 "output)")
 
-    def _execute(self, batch: ScheduledBatch, copy_outputs: bool,
-                 engine=None) -> np.ndarray:
+    def _execute(self, batch: ScheduledBatch,
+                 copy_outputs: bool) -> np.ndarray:
         """One batch execution attempt, with graceful degradation.
 
         Compile-path errors degrade to the op-by-op path
-        (``degraded_batches``); a pipelined-engine failure retries once
-        on a serial engine (``engine_fallbacks``).  Anything else (a
-        poison request, a corrupted output) propagates to the caller,
-        which isolates it via bisection.
+        (``degraded_batches``).  Anything else (a poison request, a
+        corrupted output) propagates to the caller, which isolates it via
+        bisection.
         """
         injector = self._injector()
         if injector is not None:
@@ -681,111 +629,30 @@ class BatchScheduler:
         for request in batch.requests:
             request.attempts += 1
         try:
-            out = self._run_program(batch, copy_outputs, engine=engine)
+            out = self._run_program(batch, copy_outputs)
         except DEGRADABLE_ERRORS:
             self.degraded_batches += 1
             out = self._run_opbyop(batch)
-        except Exception:
-            if engine is None and isinstance(
-                    self.session.engine,
-                    (PipelinedEngine, ProcessPoolEngine)):
-                # A pipelined or process-pool worker died mid-dispatch:
-                # the arena state is suspect but the compiled program is
-                # not -- retry the whole batch once on a serial engine
-                # before blaming a request.
-                if self._serial_fallback is None:
-                    self._serial_fallback = SerialEngine()
-                try:
-                    out = self._run_program(batch, copy_outputs,
-                                            engine=self._serial_fallback)
-                    self.engine_fallbacks += 1
-                except DEGRADABLE_ERRORS:
-                    self.engine_fallbacks += 1
-                    self.degraded_batches += 1
-                    out = self._run_opbyop(batch)
-            else:
-                raise
         self._check_output(batch, out)
-        self._after_execute((batch,), t_start)
+        self._after_execute(batch, t_start)
         return out
 
-    def _after_execute(self, batches: Sequence[ScheduledBatch],
-                       t_start: float) -> None:
-        """Post-execution bookkeeping shared by the narrow and wide
-        paths: advance an advanceable (simulated) clock by the
-        service-time model, stamp ``t_executed``, and fold the observed
-        per-batch service time into the EWMA the ``drop_doomed`` slack
-        check consults."""
+    def _after_execute(self, batch: ScheduledBatch, t_start: float) -> None:
+        """Post-execution bookkeeping: advance an advanceable (simulated)
+        clock by the service-time model, stamp ``t_executed``, and fold
+        the observed service time into the EWMA the ``drop_doomed``
+        slack check consults."""
         if self.service_model is not None:
             advance = getattr(self.queue.clock, "advance", None)
             if advance is not None:
-                for batch in batches:
-                    advance(max(float(self.service_model(batch)), 0.0))
+                advance(max(float(self.service_model(batch)), 0.0))
         now = self.queue.clock()
-        for batch in batches:
-            for request in batch.requests:
-                request.t_executed = now
-        elapsed = (now - t_start) / len(batches)
+        for request in batch.requests:
+            request.t_executed = now
+        elapsed = now - t_start
         if elapsed > 0:
             self._service_ewma = elapsed if self._service_ewma is None \
                 else 0.2 * elapsed + 0.8 * self._service_ewma
-
-    def _execute_wide(self, group: Sequence[ScheduledBatch],
-                      copy_outputs: bool) -> List[np.ndarray]:
-        """Run ``K >= 2`` sub-batches as one fused wide program.
-
-        The group's padded-length vectors select (and memoize, on the
-        session) one :func:`encoder_wide_program`; sub-batch ``i`` binds
-        ``R{i}.tokens`` and reads back ``R{i}.out_tokens``, so one
-        ``Session.run`` serves every sub-batch and a width-capable
-        engine executes them concurrently.  Any failure propagates to
-        the caller, which falls back to per-batch narrow dispatch --
-        the wide path adds no recovery machinery of its own.
-        """
-        injector = self._injector()
-        if injector is not None:
-            injector.set_ambient(
-                request_ids=frozenset(
-                    rid for batch in group for rid in batch.request_ids),
-                signature=tuple(batch.signature for batch in group))
-        t_start = self.queue.clock()
-        for batch in group:
-            for request in batch.requests:
-                request.attempts += 1
-        program = encoder_wide_program(
-            [batch.padded_lengths for batch in group], self.weights,
-            self.config, masked=self.masked, n_layers=self.n_layers,
-            session=self.session)
-        info = program.merge_info
-        bound = {
-            info.input_name(i, "tokens"): np.concatenate(
-                batch.padded_inputs(self.config.hidden_size), axis=0)
-            for i, batch in enumerate(group)
-        }
-        outs = self.session.run(
-            program, bound, copy_outputs=copy_outputs,
-            signature=tuple(batch.signature for batch in group))
-        packed = [outs[info.output_name(i, "out_tokens")]
-                  for i in range(len(group))]
-        for batch, out in zip(group, packed):
-            self._check_output(batch, out)
-        self._after_execute(group, t_start)
-        return packed
-
-    def _dispatch_wide(self, group: Sequence[ScheduledBatch],
-                       copy_outputs: bool) -> Optional[List[np.ndarray]]:
-        """Attempt one fused wide dispatch; ``None`` means fall back to
-        per-batch narrow dispatch (``wide_fallbacks`` counted)."""
-        if len(group) < 2:
-            return None
-        try:
-            packed = self._execute_wide(group, copy_outputs)
-        except Exception:
-            self.wide_fallbacks += 1
-            return None
-        self.wide_dispatches += 1
-        self.max_width_achieved = max(self.max_width_achieved, len(group))
-        return packed
 
     def _note_batch(self, batch: ScheduledBatch) -> None:
         self.num_batches += 1
@@ -1100,31 +967,20 @@ class BatchScheduler:
         any failures shed at admission since the last step.
         """
         results: Dict[int, RequestResult] = {}
-        group = self._next_batches()
+        batch = self._next_batch()
         results.update(self._collect_failures())
-        if not group:
+        if batch is None:
             return results
-        packed = self._dispatch_wide(group, copy_outputs=False)
-        if packed is not None:
-            # All sub-batch outputs are views into the one fused run's
-            # arena, valid until the session's next run -- demuxing them
-            # in sequence is safe.
-            for batch, out in zip(group, packed):
-                self._note_batch(batch)
-                results.update(self._finish_with_recovery(batch, out))
+        try:
+            # Zero-copy demux: the packed output stays an arena view,
+            # valid until the session's next run -- which only happens
+            # after the per-request rows have been copied out by _demux.
+            out = self._execute(batch, copy_outputs=False)
+        except Exception as exc:
+            results.update(self._isolate(batch, exc))
             return results
-        for batch in group:
-            try:
-                # Zero-copy demux: the packed output stays an arena view,
-                # valid until the session's next run -- which only happens
-                # after the per-request rows have been copied out by
-                # _demux.
-                out = self._execute(batch, copy_outputs=False)
-            except Exception as exc:
-                results.update(self._isolate(batch, exc))
-                continue
-            self._note_batch(batch)
-            results.update(self._finish_with_recovery(batch, out))
+        self._note_batch(batch)
+        results.update(self._finish_with_recovery(batch, out))
         return results
 
     def drain(self) -> Dict[int, RequestResult]:
@@ -1146,33 +1002,22 @@ class BatchScheduler:
 
         pool = self._ensure_demux_pool()
         inflight: List[Tuple[Any, ScheduledBatch, np.ndarray]] = []
-
-        def _overlap(batch: ScheduledBatch, out: np.ndarray) -> None:
-            self._note_batch(batch)
-            inflight.append(
-                (pool.submit(self._finish, batch, out), batch, out))
-            self.overlapped_batches += 1
-
         try:
             while True:
-                group = self._next_batches()
-                if not group:
+                batch = self._next_batch()
+                if batch is None:
                     break
-                # copy_outputs=True everywhere below: the demux worker
-                # must not read arena views the next batch's execution
-                # is about to overwrite.
-                packed = self._dispatch_wide(group, copy_outputs=True)
-                if packed is not None:
-                    for batch, out in zip(group, packed):
-                        _overlap(batch, out)
+                try:
+                    # The demux worker must not read arena views the next
+                    # batch's execution is about to overwrite: copy.
+                    out = self._execute(batch, copy_outputs=True)
+                except Exception as exc:
+                    results.update(self._isolate(batch, exc))
                     continue
-                for batch in group:
-                    try:
-                        out = self._execute(batch, copy_outputs=True)
-                    except Exception as exc:
-                        results.update(self._isolate(batch, exc))
-                        continue
-                    _overlap(batch, out)
+                self._note_batch(batch)
+                inflight.append(
+                    (pool.submit(self._finish, batch, out), batch, out))
+                self.overlapped_batches += 1
         finally:
             # Flush every outstanding future even if batch execution (or
             # isolation) raised: a pending demux future must never leak,
@@ -1224,16 +1069,15 @@ class BatchScheduler:
     # -- statistics -------------------------------------------------------------
 
     def fusion_stats(self) -> Dict[Tuple[int, ...], Dict[str, Any]]:
-        """Per-signature dispatch/fusion info for the compiled narrow
+        """Per-signature dispatch/fusion info for the compiled
         programs this scheduler has served.
 
         Each signature it has seen maps to the compiled program's kernel
         and host dispatch counts plus (under a fusing session) the
         planner's fusion summary -- how many regions were formed and how
         many per-batch dispatches they eliminated.  Signatures whose
-        narrow program was never compiled (e.g. only ever dispatched
-        wide, degraded to op-by-op, or since evicted from the session's
-        program cache) are omitted.
+        program was never compiled (e.g. degraded to op-by-op, or since
+        evicted from the session's program cache) are omitted.
 
         Pure lookup: the program uids recorded at dispatch time are
         resolved against the session's cache, so calling this triggers
@@ -1292,15 +1136,7 @@ class BatchScheduler:
             "retries": self.retries,
             "isolation_runs": self.isolation_runs,
             "degraded_batches": self.degraded_batches,
-            "engine_fallbacks": self.engine_fallbacks,
             "demux_recoveries": self.demux_recoveries,
-            # wide-dispatch counters
-            "wide_batches": self.wide_batches,
-            "wide_dispatches": self.wide_dispatches,
-            "wide_fallbacks": self.wide_fallbacks,
-            "max_width_achieved": self.max_width_achieved,
-            "engine_max_inflight": self.session.engine.stats().get(
-                "max_inflight", 0),
             "shed_rejected": self.queue.rejected,
             "shed_expired": self.queue.expired_dropped,
             # SLO-aware serving counters

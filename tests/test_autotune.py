@@ -11,9 +11,7 @@ The acceptance criteria proven here:
   warm AOT disk cache reaches the tuned configuration with *zero search
   iterations and zero kernel lowerings*;
 * the serving feedback loop: live per-bucket traffic lands in the DB
-  and a dominant bucket holds the adaptive tolerance steady;
-* the process-pool engine's batched dispatch protocol stays
-  bit-identical with batching on or off.
+  and a dominant bucket holds the adaptive tolerance steady.
 """
 
 import json
@@ -456,42 +454,3 @@ class TestSchedulerTrafficRecording:
         # Persisted: a fresh DB instance sees the traffic.
         db.save()
         assert ScheduleDB(tmp_path).top_buckets()
-
-
-# ---------------------------------------------------------------------------
-# Batched process-pool dispatch
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedDispatch:
-    @pytest.mark.parametrize("batch_dispatch", [True, False])
-    def test_bit_identical_with_and_without_batching(self, tmp_path,
-                                                     batch_dispatch):
-        from repro.core.engine import ProcessPoolEngine
-
-        w = EncoderWeights.random(SMALL, seed=3)
-        tokens = _tokens(LENGTHS, seed=11)
-        ref = Session(backend="vector", engine="serial")
-        p_ref = encoder_stack_program(LENGTHS, w, SMALL, masked=True,
-                                      n_layers=2, session=ref)
-        out_ref = ref.run(p_ref, {"tokens": tokens})
-
-        engine = ProcessPoolEngine(max_workers=2,
-                                   batch_dispatch=batch_dispatch)
-        assert engine.stats()["batch_dispatch"] is batch_dispatch
-        try:
-            pool = Session(backend="vector", engine=engine, fuse=True,
-                           disk_cache=str(tmp_path))
-            p = encoder_stack_program(LENGTHS, w, SMALL, masked=True,
-                                      n_layers=2, session=pool)
-            for _ in range(2):  # install + warm re-run
-                out = pool.run(p, {"tokens": tokens})
-                for k in out_ref:
-                    assert np.array_equal(np.asarray(out_ref[k]),
-                                          np.asarray(out[k]))
-            assert engine.steps_dispatched == 2 * len(p_ref.nodes) \
-                or engine.steps_dispatched > 0
-            pool.close()
-        finally:
-            engine.close()
-        ref.close()

@@ -1,19 +1,11 @@
-"""Execution engines and in-place arena scheduling.
+"""The execution engine and the in-place differential property.
 
-The engine layer's contract: any step order respecting the plan's
-dependence edges (data + slab-reuse + in-place write-after-read) computes
-bit-identical results.  This suite pins that down three ways:
-
-* unit tests over the planner's new dependence structure
-  (``step_preds`` / ``step_succs`` / ``ready_steps``) and the in-place
-  allocator, including the regression that an element-wise node whose
-  input has a later live reader is NOT planned in place;
-* engine unit tests (resolution, stats, error propagation, pipelined
-  dispatch over fan-out graphs);
-* a hypothesis differential property: ``PipelinedEngine`` + in-place
-  plans stay bit-identical to ``SerialEngine`` + double-buffered plans
-  across random ragged batches, masked and unmasked, stack depths
-  1 / 2 / 4, with zero vector-backend fallbacks.
+The engine is one flat loop over the compiled steps in plan order; a
+subclass overriding ``execute`` observes dispatch (a tracer) and sees the
+plan and the compiled program.  The hypothesis property pins what makes
+the serial order sufficient: in-place plans stay bit-identical to
+double-buffered plans across random ragged batches, masked and unmasked,
+stack depths 1 / 2 / 4, with zero vector-backend fallbacks.
 """
 
 import numpy as np
@@ -21,24 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import (
-    ExecutionEngine,
-    PipelinedEngine,
-    SerialEngine,
-    get_engine,
-)
+from repro.core.engine import ExecutionEngine, dispatch_step, get_engine
 from repro.core.executor import Executor
-from repro.core.planner import plan_program
-from repro.core.program import Program, ProgramError
+from repro.core.program import Program
 from repro.core.session import Session
 from repro.models.config import TransformerConfig
 from repro.models.transformer import (
     EncoderWeights,
-    build_encoder_program,
+    encoder_stack_program,
     run_encoder_stack_numeric,
 )
-from repro.ops.elementwise import add_node, relu_node
-from repro.ops.projection import linear_node
 
 SMALL = TransformerConfig(hidden_size=16, num_heads=2, head_size=8, ff_size=32,
                           num_layers=2, loop_pad=4, bulk_pad=8,
@@ -55,46 +39,69 @@ def _bit_identical(a, b):
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def _double_program():
+    p = Program("p")
+    x = p.add_input("x", shape=(4,))
+    p.add_host("double", lambda out, a: np.multiply(a, 2.0, out=out),
+               [x], output_shapes={"y": (4,)})
+    p.mark_output("y")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Engine resolution and statistics
 # ---------------------------------------------------------------------------
 
 
+class _Recording(ExecutionEngine):
+    """Records what a tracer reads: the plan order and the program."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def execute(self, steps, plan, context=None):
+        self.seen.append((list(plan.order), context.program.name))
+        for step in steps:
+            dispatch_step(step)
+        self.runs += 1
+        self.steps_dispatched += len(steps)
+
+
 class TestEngineResolution:
     def test_names_resolve(self):
-        assert isinstance(get_engine("serial"), SerialEngine)
-        assert isinstance(get_engine("pipelined"), PipelinedEngine)
-        assert isinstance(get_engine(None), SerialEngine)
+        assert type(get_engine("serial")) is ExecutionEngine
+        assert type(get_engine(None)) is ExecutionEngine
 
     def test_instance_passes_through(self):
-        engine = PipelinedEngine(max_workers=2)
+        engine = _Recording()
         assert get_engine(engine) is engine
+        session = Session(backend="vector", engine=engine,
+                          executor=Executor(backend="vector"))
+        out = session.run(_double_program(), {"x": np.ones(4, np.float32)})
+        assert np.array_equal(out["y"], np.full(4, 2.0, np.float32))
+        assert engine.seen == [([0], "p")]
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            get_engine("warp-drive")
+    @pytest.mark.parametrize("name", ["warp-drive", "pipelined", "process"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ValueError, match="'serial'"):
+            get_engine(name)
+        with pytest.raises(ValueError, match="'serial'"):
+            Session(backend="vector", engine=name)
         with pytest.raises(TypeError):
             get_engine(42)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            PipelinedEngine(max_workers=0)
-
     def test_session_resolves_engine(self):
-        assert Session(backend="vector").engine.name == "serial"
-        session = Session(backend="vector", engine="pipelined")
-        assert session.engine.name == "pipelined"
-        assert session.stats()["engine"]["engine"] == "pipelined"
+        session = Session(backend="vector")
+        assert session.engine.name == "serial"
+        assert session.stats()["engine"] == {
+            "engine": "serial", "runs": 0, "steps_dispatched": 0}
 
     def test_stats_accumulate_and_reset(self):
-        engine = SerialEngine()
+        engine = ExecutionEngine()
         session = Session(backend="vector", engine=engine,
                           executor=Executor(backend="vector"))
-        p = Program("p")
-        x = p.add_input("x", shape=(4,))
-        p.add_host("double", lambda out, a: np.multiply(a, 2.0, out=out),
-                   [x], output_shapes={"y": (4,)})
-        p.mark_output("y")
+        p = _double_program()
         session.run(p, {"x": np.ones(4, np.float32)})
         session.run(p, {"x": np.ones(4, np.float32)})
         assert engine.runs == 2
@@ -102,311 +109,56 @@ class TestEngineResolution:
         session.reset()
         assert engine.runs == 0 and engine.steps_dispatched == 0
 
-
-# ---------------------------------------------------------------------------
-# Planner: dependence edges (the engine contract)
-# ---------------------------------------------------------------------------
-
-
-def _chain_program(n_steps=3, size=8):
-    p = Program("chain")
-    prev = p.add_input("x", shape=(size,))
-    for i in range(n_steps):
-        (prev,) = p.add_host(
-            f"n{i}", lambda out, a: np.copyto(out, a), [prev],
-            output_shapes={f"v{i}": (size,)})
-    p.mark_output(f"v{n_steps - 1}")
-    return p
+    def test_one_instance_serves_several_sessions(self):
+        engine = _Recording()
+        sessions = [Session(backend="vector", engine=engine,
+                            executor=Executor(backend="vector"), **mode)
+                    for mode in ({}, {"inplace": True})]
+        for session in sessions:
+            session.run(_double_program(), {"x": np.ones(4, np.float32)})
+            assert session.engine is engine
+        assert engine.runs == 2 and engine.steps_dispatched == 2
+        assert all(s.stats()["engine"]["runs"] == 2 for s in sessions)
 
 
-class TestDependences:
-    def test_chain_data_edges_and_ready_set(self):
-        plan = plan_program(_chain_program(n_steps=3))
-        assert plan.ready_steps == (0,)
-        assert plan.step_preds[0] == ()
-        assert 0 in plan.step_preds[1]
-        assert 1 in plan.step_preds[2]
-        assert plan.step_succs[0] == (1,) or 1 in plan.step_succs[0]
+class TestTracerHook:
+    """What a tracing subclass relies on: one ``execute`` per run, with
+    one step per planned node and the plan of the graph the steps
+    index -- the fused program's under ``fuse=True``."""
 
-    def test_slab_reuse_adds_anti_dependence(self):
-        # v2 recycles v0's slab (ping-pong chain), so step 2 must wait for
-        # v0's producer AND its consumer -- not just its own data input.
-        plan = plan_program(_chain_program(n_steps=3))
-        assert plan.slab_of["v2"] == plan.slab_of["v0"]
-        assert plan.step_preds[2] == (0, 1)
-
-    def test_inplace_war_edge_on_sibling_reader(self):
-        # c = a + a runs in place over a; b also reads a but is NOT a data
-        # ancestor of c -- the plan must still order b before c.
-        p = Program("war")
-        x = p.add_input("x", shape=(4,))
-        (a,) = p.add_host("produce", lambda out, v: np.copyto(out, v), [x],
-                          output_shapes={"a": (4,)})
-        (b,) = p.add_host("observe", lambda out, v: np.copyto(out, v), [a],
-                          output_shapes={"b": (4,)})
-        c = add_node(p, a, a, name="c")
-        p.mark_output(b)
-        p.mark_output(c)
-        plain = plan_program(p)
-        assert plain.step_preds[2] == (0,)
-        inplace = plan_program(p, inplace=True)
-        assert inplace.inplace_of == {"c": "a"}
-        assert inplace.step_preds[2] == (0, 1)
-
-    def test_succs_are_transpose_of_preds(self):
-        program = build_encoder_program([5, 3], EncoderWeights.zeros(SMALL),
-                                        SMALL, masked=True)
-        plan = plan_program(program, inplace=True)
-        edges = {(p_, s) for s, ps in enumerate(plan.step_preds) for p_ in ps}
-        back = {(p_, s) for p_, ss in enumerate(plan.step_succs) for s in ss}
-        assert edges == back
-        assert plan.ready_steps == tuple(
-            s for s, ps in enumerate(plan.step_preds) if not ps)
+    @pytest.mark.parametrize("mode", [{}, {"inplace": True},
+                                      {"fuse": True}],
+                             ids=["double", "inplace", "fuse"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_execute_sees_every_planned_step(self, mode, masked):
+        engine = _Recording()
+        session = Session(backend="vector", engine=engine,
+                          executor=Executor(backend="vector"), **mode)
+        hidden = _hidden((7, 3, 5), seed=4)
+        ref = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
+                                        masked=masked, session=_DOUBLE)
+        got = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
+                                        masked=masked, session=session)
+        assert _bit_identical(ref.hidden, got.hidden)
+        ((order, name),) = engine.seen
+        compiled = session.compiled_program(encoder_stack_program(
+            (7, 3, 5), _WEIGHTS, SMALL, masked=masked, session=session))
+        plan = compiled.plan
+        work = plan.fused_program if "fuse" in mode else compiled.program
+        assert work is not None and name == compiled.program.name
+        assert order == plan.order
+        assert engine.steps_dispatched == len(order) == len(work.nodes)
 
 
 # ---------------------------------------------------------------------------
-# Planner: in-place arena scheduling
-# ---------------------------------------------------------------------------
-
-
-class TestInplacePlanning:
-    def test_default_plan_has_no_aliases(self):
-        program = build_encoder_program([7, 3, 5],
-                                        EncoderWeights.zeros(SMALL), SMALL)
-        plan = plan_program(program)
-        assert plan.inplace_of == {}
-        assert not plan.inplace
-        assert plan.summary()["inplace_values"] == 0
-
-    def test_elementwise_aliases_dying_input(self):
-        p = Program("ip")
-        x = p.add_input("x", shape=(4, 8))
-        a = linear_node(p, x, np.eye(8, dtype=np.float32), name="lin",
-                        out="a")
-        r = relu_node(p, a, name="relu", out="r")
-        p.mark_output(r)
-        plan = plan_program(p, inplace=True)
-        assert plan.inplace_of == {"r": "a"}
-        assert plan.slab_of["r"] == plan.slab_of["a"]
-        assert plan.arena_bytes < plan_program(p).arena_bytes
-
-    def test_live_sibling_reader_blocks_inplace(self):
-        # Regression: an element-wise node whose input is consumed by
-        # another, LATER reader must NOT be planned in place -- the write
-        # would clobber bytes that reader has yet to consume.
-        p = Program("blocked")
-        x = p.add_input("x", shape=(4, 8))
-        a = linear_node(p, x, np.eye(8, dtype=np.float32), name="lin",
-                        out="a")
-        r = relu_node(p, a, name="relu", out="r")
-        mix = add_node(p, a, r, name="mix")  # reads `a` after relu does
-        p.mark_output(mix)
-        plan = plan_program(p, inplace=True)
-        assert "r" not in plan.inplace_of
-        assert plan.slab_of["r"] != plan.slab_of["a"]
-        # `mix` itself is the last reader of both operands, so it aliases.
-        assert plan.inplace_of == {"mix": "a"}
-
-    def test_program_inputs_and_outputs_never_aliased(self):
-        p = Program("guard")
-        x = p.add_input("x", shape=(4, 8))
-        r = relu_node(p, x, name="relu", out="r")  # input: not arena-backed
-        (b,) = p.add_host("obs", lambda out, v: np.copyto(out, v), [r],
-                          output_shapes={"b": (4, 8)})
-        mix = add_node(p, r, b, name="mix")
-        p.mark_output(r)  # r is a marked output: may not be overwritten
-        p.mark_output(mix)
-        plan = plan_program(p, inplace=True)
-        assert "r" not in plan.inplace_of
-        assert plan.inplace_of.get("mix") != "r"
-
-    def test_elementwise_declaration_validated(self):
-        p = Program("bad")
-        x = p.add_input("x", shape=(4,))
-        with pytest.raises(ProgramError):
-            p.add_host("e", lambda out, v: None, [x],
-                       output_shapes={"y": (4,)}, elementwise=("zzz",))
-        with pytest.raises(ProgramError):
-            p.add_host("f", lambda out, v: None, [x],
-                       output_shapes={"y2": (8,)}, elementwise=(x,))
-        with pytest.raises(ProgramError):
-            p.add_host("g", lambda out, v: None, [x],
-                       output_shapes={"y3": (4,)}, fills_output=False,
-                       elementwise=(x,))
-
-    def test_encoder_inplace_shrinks_arena(self):
-        program = build_encoder_program([7, 3, 5],
-                                        EncoderWeights.zeros(SMALL), SMALL)
-        plain = plan_program(program)
-        inplace = plan_program(program, inplace=True)
-        assert inplace.inplace_values > 0
-        assert inplace.arena_bytes < plain.arena_bytes
-        assert inplace.inplace_shared_bytes > 0
-        summary = inplace.summary()
-        assert summary["inplace"] and summary["inplace_values"] > 0
-
-    def test_inplace_arena_never_exceeds_double_buffered(self):
-        # The planner packs both ways and keeps the aliasing only when
-        # it does not lose, so the invariant holds for any shape.
-        rng = np.random.default_rng(0)
-        for _ in range(12):
-            lengths = rng.integers(1, 24, size=int(rng.integers(1, 5)))
-            program = build_encoder_program(
-                [int(n) for n in lengths], EncoderWeights.zeros(SMALL),
-                SMALL, masked=bool(rng.integers(2)))
-            assert (plan_program(program, inplace=True).arena_bytes
-                    <= plan_program(program).arena_bytes)
-
-    def test_compiled_stats_report_node_kinds(self):
-        program = build_encoder_program([5, 3], EncoderWeights.zeros(SMALL),
-                                        SMALL, masked=False)
-        session = Session(backend="vector",
-                          executor=Executor(backend="vector"))
-        stats = session.compile(program).stats()
-        assert stats["node_kinds"]["kernel"] == len(program.kernel_nodes)
-        assert stats["node_kinds"]["host"] == len(program.host_nodes)
-
-    def test_memory_report_surfaces_inplace_numbers(self):
-        from repro.analysis.memory import intermediate_memory_report
-
-        report = intermediate_memory_report([7, 3, 5], SMALL, n_layers=2)
-        assert report["arena_bytes_inplace"] <= report["arena_bytes"]
-        assert report["inplace_values"] > 0
-        assert 0.0 <= report["inplace_savings"] < 1.0
-        assert report["peak_live_bytes"] <= report["arena_bytes"]
-
-    def test_inplace_execution_matches_double_buffered(self):
-        p = Program("numeric")
-        x = p.add_input("x", shape=(4, 8))
-        a = linear_node(p, x,
-                        np.arange(64, dtype=np.float32).reshape(8, 8) / 8.0,
-                        name="lin", out="a")
-        r = relu_node(p, a, name="relu", out="r")
-        mix = add_node(p, r, r, name="mix")
-        p.mark_output(mix)
-        rng = np.random.default_rng(3)
-        inputs = {"x": rng.standard_normal((4, 8)).astype(np.float32)}
-        ref = Session(backend="vector",
-                      executor=Executor(backend="vector")).run(p, inputs)
-        got = Session(backend="vector", inplace=True,
-                      executor=Executor(backend="vector")).run(p, inputs)
-        assert np.array_equal(ref["mix"], got["mix"])
-
-
-# ---------------------------------------------------------------------------
-# Pipelined dispatch
-# ---------------------------------------------------------------------------
-
-
-def _diamond_program(width=4, size=64):
-    """One producer fanning out to ``width`` branches, merged pairwise."""
-    p = Program("diamond")
-    x = p.add_input("x", shape=(size,))
-    (root,) = p.add_host("root", lambda out, v: np.multiply(v, 2.0, out=out),
-                         [x], output_shapes={"root": (size,)})
-    branches = []
-    for i in range(width):
-        scale = float(i + 1)
-        (b,) = p.add_host(
-            f"branch{i}",
-            lambda out, v, s=scale: np.multiply(v, s, out=out),
-            [root], output_shapes={f"b{i}": (size,)})
-        branches.append(b)
-    acc = branches[0]
-    for i, b in enumerate(branches[1:]):
-        acc = add_node(p, acc, b, name=f"merge{i}")
-    p.mark_output(acc)
-    return p
-
-
-class TestPipelinedEngine:
-    def test_fanout_matches_serial(self):
-        p = _diamond_program(width=5)
-        rng = np.random.default_rng(0)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        serial = Session(backend="vector",
-                         executor=Executor(backend="vector")).run(p, inputs)
-        engine = PipelinedEngine(max_workers=4)
-        pipelined = Session(backend="vector", engine=engine, inplace=True,
-                            executor=Executor(backend="vector")).run(p, inputs)
-        out = [k for k in serial][0]
-        assert np.array_equal(serial[out], pipelined[out])
-        assert engine.runs == 1
-        assert engine.stats()["max_inflight"] >= 1
-
-    def test_repeated_runs_stay_identical(self):
-        p = _diamond_program(width=3)
-        session = Session(backend="vector", engine=PipelinedEngine(2),
-                          inplace=True, executor=Executor(backend="vector"))
-        rng = np.random.default_rng(1)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        first = session.run(p, inputs)
-        for _ in range(5):
-            again = session.run(p, inputs)
-            assert np.array_equal(first["merge1"], again["merge1"])
-
-    def test_host_error_propagates(self):
-        p = Program("boom")
-        x = p.add_input("x", shape=(4,))
-        (a,) = p.add_host("ok", lambda out, v: np.copyto(out, v), [x],
-                          output_shapes={"a": (4,)})
-
-        def _explode(out, v):
-            raise RuntimeError("kaboom")
-
-        p.add_host("bad", _explode, [a], output_shapes={"b": (4,)})
-        p.mark_output("b")
-        session = Session(backend="vector", engine=PipelinedEngine(2),
-                          executor=Executor(backend="vector"))
-        with pytest.raises(RuntimeError, match="kaboom"):
-            session.run(p, {"x": np.ones(4, np.float32)})
-
-    def test_needs_dependence_edges(self):
-        with pytest.raises(ValueError):
-            PipelinedEngine(2).execute([(1, lambda: None, (), None, None)],
-                                       None)
-
-    def test_session_close_releases_pool_and_stays_usable(self):
-        p = _diamond_program(width=3)
-        rng = np.random.default_rng(4)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        with Session(backend="vector", engine="pipelined",
-                     executor=Executor(backend="vector")) as session:
-            first = session.run(p, inputs)
-            assert session.engine._pool is not None
-        assert session.engine._pool is None  # closed on context exit
-        # The engine recreates its pool lazily: the session stays usable.
-        again = session.run(p, inputs)
-        assert np.array_equal(first["merge1"], again["merge1"])
-        session.close()
-        session.close()  # idempotent
-
-    def test_session_close_leaves_shared_engine_instance_alone(self):
-        # An engine passed as an INSTANCE may serve other sessions:
-        # closing one session must not tear down its pool.
-        engine = PipelinedEngine(max_workers=2)
-        p = _diamond_program(width=3)
-        inputs = {"x": np.ones(64, np.float32)}
-        with Session(backend="vector", engine=engine,
-                     executor=Executor(backend="vector")) as session:
-            session.run(p, inputs)
-        assert engine._pool is not None  # still alive for other sessions
-        other = Session(backend="vector", engine=engine,
-                        executor=Executor(backend="vector"))
-        other.run(p, inputs)  # shared engine still serves runs
-        engine.close()
-        assert engine._pool is None
-
-
-# ---------------------------------------------------------------------------
-# Differential property: pipelined + in-place == serial + double-buffered
+# Differential property: in-place == double-buffered
 # ---------------------------------------------------------------------------
 
 
 _WEIGHTS = EncoderWeights.random(SMALL, seed=11)
-_SERIAL = Session(backend="vector", executor=Executor(backend="vector"))
-_PIPELINED = Session(backend="vector", executor=Executor(backend="vector"),
-                     engine=PipelinedEngine(max_workers=3), inplace=True)
+_DOUBLE = Session(backend="vector", executor=Executor(backend="vector"))
+_INPLACE = Session(backend="vector", executor=Executor(backend="vector"),
+                   inplace=True)
 
 
 class TestEngineDifferential:
@@ -415,17 +167,17 @@ class TestEngineDifferential:
                             min_size=1, max_size=4),
            masked=st.booleans(),
            n_layers=st.sampled_from([1, 2, 4]))
-    def test_pipelined_inplace_bit_identical_to_serial(self, lengths, masked,
-                                                       n_layers):
+    def test_inplace_bit_identical_to_double_buffered(self, lengths, masked,
+                                                      n_layers):
         hidden = _hidden(lengths, seed=sum(lengths) + n_layers)
         ref = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
                                         masked=masked, n_layers=n_layers,
-                                        session=_SERIAL)
+                                        session=_DOUBLE)
         got = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
                                         masked=masked, n_layers=n_layers,
-                                        session=_PIPELINED)
+                                        session=_INPLACE)
         assert _bit_identical(ref.hidden, got.hidden)
-        for session in (_SERIAL, _PIPELINED):
+        for session in (_DOUBLE, _INPLACE):
             codegen = session.stats()["codegen"]
             assert codegen["fallbacks"] == 0, codegen["fallback_reasons"]
 
@@ -437,8 +189,8 @@ class TestEngineDifferential:
             for n_layers in (1, 2, 4):
                 ref = run_encoder_stack_numeric(
                     hidden, _WEIGHTS, SMALL, masked=masked,
-                    n_layers=n_layers, session=_SERIAL)
+                    n_layers=n_layers, session=_DOUBLE)
                 got = run_encoder_stack_numeric(
                     hidden, _WEIGHTS, SMALL, masked=masked,
-                    n_layers=n_layers, session=_PIPELINED)
+                    n_layers=n_layers, session=_INPLACE)
                 assert _bit_identical(ref.hidden, got.hidden)

@@ -5,7 +5,7 @@ Three layers of guarantees are pinned down here:
 * the :class:`FaultInjector` itself is deterministic (same seed, same
   schedule), transparent when disabled, and honours its matching rules;
 * each recovery path of the serving stack -- compile degradation,
-  poison-request bisection, serial-engine retry, demux recovery,
+  poison-request bisection, demux recovery,
   deadline drops, backpressure shed -- produces structured results while
   every *other* request's output stays bit-identical to a fault-free run;
 * the exactly-once property: under arbitrary single-fault schedules,
@@ -54,9 +54,8 @@ def _requests(lengths=LENGTHS, seed=0):
             .astype(np.float32) for n in lengths]
 
 
-def _scheduler(injector=None, *, engine="serial", **kwargs):
-    session = Session(backend="vector", engine=engine,
-                      fault_injector=injector)
+def _scheduler(injector=None, **kwargs):
+    session = Session(backend="vector", fault_injector=injector)
     return BatchScheduler(WEIGHTS, SMALL, session=session, masked=True,
                           max_batch_size=4, bucket_tolerance=2, **kwargs)
 
@@ -86,8 +85,9 @@ def _assert_bit_identical_except(baseline, ids, results, excluded=()):
 class TestFaultInjector:
     def test_validates_points_and_actions(self):
         injector = FaultInjector()
-        with pytest.raises(ValueError):
-            injector.add("nonsense")
+        for point in ("nonsense", "pipelined_worker", "process_worker"):
+            with pytest.raises(ValueError, match="'demux'"):
+                injector.add(point)
         with pytest.raises(ValueError):
             injector.add("run", action="explode")
         with pytest.raises(ValueError):
@@ -416,18 +416,6 @@ class TestFaultMatrix:
         assert stats["failed_requests"] == 0
         assert stats["retries"] >= 1
 
-    def test_pipelined_worker_fault_retries_on_serial(self, baseline):
-        injector = FaultInjector(seed=5)
-        injector.add("pipelined_worker", error=ExecutionError, max_fires=1)
-        scheduler = _scheduler(injector, engine="pipelined")
-        ids = scheduler.submit_many(_requests())
-        results = scheduler.drain()
-        _assert_bit_identical_except(baseline, ids, results)
-        stats = scheduler.stats()
-        assert stats["engine_fallbacks"] == 1
-        assert stats["failed_requests"] == 0
-        scheduler.session.close()
-
     def test_demux_fault_recovers_in_overlapped_drain(self, baseline):
         for action in ("raise", "corrupt"):
             injector = FaultInjector(seed=6)
@@ -484,7 +472,7 @@ class TestFaultMatrix:
         stats = scheduler.stats()
         for key in ("failed_requests", "timed_out_requests",
                     "rejected_requests", "retries", "isolation_runs",
-                    "degraded_batches", "engine_fallbacks",
+                    "degraded_batches",
                     "demux_recoveries", "shed_rejected", "shed_expired"):
             assert stats[key] == 0
 

@@ -377,32 +377,3 @@ class TestFusionIntegration:
         for info in stats["fusion_by_signature"].values():
             assert info["fusion"]["regions"] >= 1
             assert info["kernel_dispatches"] < info["fusion"]["nodes_fused"]
-
-    def test_process_pool_runs_fused_programs_bit_identically(self, tmp_path):
-        from repro.core.engine import ProcessPoolEngine
-        from repro.models.transformer import encoder_stack_program
-
-        weights = EncoderWeights.random(SMALL, seed=3)
-        tokens = _tokens(LENGTHS, seed=11)
-        engine = ProcessPoolEngine(max_workers=2)
-        try:
-            ref = Session(backend="vector", engine="serial")
-            p_ref = encoder_stack_program(LENGTHS, weights, SMALL,
-                                          masked=True, n_layers=2,
-                                          session=ref)
-            out_ref = ref.run(p_ref, {"tokens": tokens})
-
-            fused = Session(backend="vector", engine=engine, fuse=True,
-                            disk_cache=str(tmp_path))
-            p_fused = encoder_stack_program(LENGTHS, weights, SMALL,
-                                            masked=True, n_layers=2,
-                                            session=fused)
-            for _ in range(2):  # install + warm re-run
-                out_fused = fused.run(p_fused, {"tokens": tokens})
-                for k in out_ref:
-                    assert np.array_equal(np.asarray(out_ref[k]),
-                                          np.asarray(out_fused[k]))
-            ref.close()
-            fused.close()
-        finally:
-            engine.close()

@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dims import Dim
-from repro.core.engine import PipelinedEngine
 from repro.core.extents import ConstExtent, VarExtent
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.session import Session
@@ -54,7 +53,6 @@ SESSIONS = {
     "plain": dict(),
     "fuse": dict(fuse=True),
     "inplace": dict(inplace=True),
-    "pipelined": dict(engine="pipelined"),
 }
 
 
@@ -130,8 +128,6 @@ class TestWarmRunDoesNoLayoutWork:
                 again = session.run(program, {"tokens": tokens})["out_tokens"]
                 assert np.array_equal(first, again)
             assert counts == {}
-            if variant == "pipelined":
-                assert isinstance(session.engine, PipelinedEngine)
         finally:
             session.close()
 

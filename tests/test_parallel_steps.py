@@ -5,7 +5,7 @@ as chunks on a process-wide helper pool (:mod:`repro.core.parallel`).
 These tests pin:
 
 * **same bits**: split and forced-serial runs agree bit for bit on plain,
-  in-place, fused and pipelined sessions, and with the float64 reference;
+  in-place and fused sessions, and with the float64 reference;
 * **a partition**: row chunks tile ``[0, n)`` with two rows or more each
   (a one-row GEMM is a gemv and differs in the last bits), bucket shares
   are disjoint, cover the kernel's bucket list and are LPT-balanced;
@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.core import parallel
 from repro.core.dims import Dim
-from repro.core.engine import PipelinedEngine, ProcessPoolEngine
 from repro.core.errors import ExecutionError
 from repro.core.extents import ConstExtent, VarExtent
 from repro.core.ir import exp
@@ -46,7 +45,6 @@ from repro.models.config import TransformerConfig
 from repro.models.transformer import build_encoder_stack_program
 from repro.ops.elementwise import add_node, relu_node
 from repro.ops.projection import linear_node
-from repro.serving.faults import FaultInjector
 
 from test_store_through import (
     ORACLE_TOL,
@@ -70,7 +68,6 @@ SESSIONS = {
     "plain": dict(),
     "inplace": dict(inplace=True),
     "fuse": dict(fuse=True),
-    "pipelined": dict(engine="pipelined"),
 }
 
 
@@ -271,21 +268,6 @@ class TestGate:
         _, compiled = compiled_with(monkeypatch, 2, program, fuse=True)
         assert compiled.fused_kernels and split_steps(compiled) == []
 
-    def test_process_pool_workers_run_their_steps_whole(self, monkeypatch):
-        # A worker sees one core from its first message on: the engine's
-        # processes are its parallelism.
-        from repro.core import engine
-
-        class Stop:
-            def get(self):
-                raise EOFError
-
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
-        engine._process_worker_main(0, Stop(), None)
-        assert parallel.usable_cores() == 1
-        compiled = Session().compile(encoder([90, 41, 90]))
-        assert split_steps(compiled) == []
-
     def test_usable_cores_is_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5},
@@ -293,12 +275,6 @@ class TestGate:
         assert parallel.usable_cores() == 2
         monkeypatch.delattr(os, "sched_getaffinity")
         assert parallel.usable_cores() == 8
-
-    def test_engines_size_their_pools_by_usable_cores(self, monkeypatch):
-        for cores, workers in ((1, 2), (3, 3), (64, 8)):
-            monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
-            assert PipelinedEngine().max_workers == workers
-            assert ProcessPoolEngine().max_workers == workers
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +324,29 @@ class TestFailureAndLifetime:
                               2 * data)
 
     def test_fault_on_a_split_step_propagates_unchanged(self, monkeypatch):
+        # A helper chunk of an encoder GEMM raises: the run fails with that
+        # exception, and the next run of the same program is unharmed.
         lengths = [90, 41, 90, 64]
         program = encoder(lengths)
         tokens = packed_tokens(lengths, MID.hidden_size, 1)
-        injector = FaultInjector(seed=0)
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
-        session = Session(engine="pipelined", fault_injector=injector)
-        compiled = session.compile(program)
+        session, compiled = compiled_with(monkeypatch, 2, program)
         order = [compiled._work.nodes[i].name for i in compiled.plan.order]
-        assert isinstance(compiled._steps[order.index("L0.ff1")][1],
-                          parallel.SplitStep)
+        split = compiled._steps[order.index("L0.ff1")][1]
+        assert isinstance(split, parallel.SplitStep)
         want = session.run(program, {"tokens": tokens})["out_tokens"]
-        fault = injector.add("pipelined_worker", error=ExecutionError,
-                             calls=[injector.calls["pipelined_worker"]
-                                    + order.index("L0.ff1")])
-        with pytest.raises(ExecutionError):
+        real = split.fn
+
+        def helper_fails(*chunk):
+            real(*chunk)
+            if threading.current_thread() is not threading.main_thread():
+                raise ExecutionError("helper chunk failed")
+
+        split.fn = helper_fails
+        with pytest.raises(ExecutionError, match="helper chunk failed"):
             session.run(program, {"tokens": tokens})
-        assert fault.fired == 1
+        split.fn = real
         got = session.run(program, {"tokens": tokens})["out_tokens"]
         assert np.array_equal(got, want)
-        session.close()
 
     def test_sessions_on_many_threads_share_the_helpers(self, monkeypatch):
         # More callers than cores, all handing chunks to the same pool,

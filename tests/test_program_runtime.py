@@ -1,7 +1,8 @@
 """Tests for the ragged program graph runtime (program / planner / session).
 
-Covers the program IR's validation, the liveness + arena planner, the
-Session's AOT compile/run path -- including the differential guarantee
+Covers the program IR's validation, the liveness + arena planner (with
+in-place slab sharing for element-wise nodes), the Session's AOT
+compile/run path -- including the differential guarantee
 that ``Session.run`` is *bit-identical* to op-by-op execution for the
 masked and unmasked encoder layers with zero vector-backend fallbacks --
 and plan reuse across raggedness signatures (hypothesis property).
@@ -20,10 +21,14 @@ from repro.models.config import TransformerConfig
 from repro.models.transformer import (
     EncoderWeights,
     build_encoder_program,
+    build_encoder_stack_program,
     encoder_program,
     run_encoder_layer_numeric,
     run_encoder_layer_opbyop,
+    run_encoder_stack_numeric,
 )
+from repro.ops.elementwise import add_node, relu_node
+from repro.ops.projection import linear_node
 
 SMALL = TransformerConfig(hidden_size=16, num_heads=2, head_size=8, ff_size=32,
                           num_layers=2, loop_pad=4, bulk_pad=8,
@@ -165,6 +170,262 @@ class TestPlanner:
         # Growing slabs never shrinks below any assigned value.
         for name, slab in plan.slab_of.items():
             assert plan.slab_elements[slab] >= plan.value_elements[name]
+
+
+# ---------------------------------------------------------------------------
+# Planner: in-place arena scheduling
+# ---------------------------------------------------------------------------
+
+
+class TestInplacePlanning:
+    def test_default_plan_has_no_aliases(self):
+        program = build_encoder_program([7, 3, 5],
+                                        EncoderWeights.zeros(SMALL), SMALL)
+        plan = plan_program(program)
+        assert plan.inplace_of == {}
+        assert not plan.inplace
+        assert plan.summary()["inplace_values"] == 0
+
+    def test_elementwise_aliases_dying_input(self):
+        p = Program("ip")
+        x = p.add_input("x", shape=(4, 8))
+        a = linear_node(p, x, np.eye(8, dtype=np.float32), name="lin",
+                        out="a")
+        r = relu_node(p, a, name="relu", out="r")
+        p.mark_output(r)
+        plan = plan_program(p, inplace=True)
+        assert plan.inplace_of == {"r": "a"}
+        assert plan.slab_of["r"] == plan.slab_of["a"]
+        assert plan.arena_bytes < plan_program(p).arena_bytes
+
+    def test_live_sibling_reader_blocks_inplace(self):
+        # Regression: an element-wise node whose input is consumed by
+        # another, LATER reader must NOT be planned in place -- the write
+        # would clobber bytes that reader has yet to consume.
+        p = Program("blocked")
+        x = p.add_input("x", shape=(4, 8))
+        a = linear_node(p, x, np.eye(8, dtype=np.float32), name="lin",
+                        out="a")
+        r = relu_node(p, a, name="relu", out="r")
+        mix = add_node(p, a, r, name="mix")  # reads `a` after relu does
+        p.mark_output(mix)
+        plan = plan_program(p, inplace=True)
+        assert "r" not in plan.inplace_of
+        assert plan.slab_of["r"] != plan.slab_of["a"]
+        # `mix` itself is the last reader of both operands, so it aliases.
+        assert plan.inplace_of == {"mix": "a"}
+
+    def test_program_inputs_and_outputs_never_aliased(self):
+        p = Program("guard")
+        x = p.add_input("x", shape=(4, 8))
+        r = relu_node(p, x, name="relu", out="r")  # input: not arena-backed
+        (b,) = p.add_host("obs", lambda out, v: np.copyto(out, v), [r],
+                          output_shapes={"b": (4, 8)})
+        mix = add_node(p, r, b, name="mix")
+        p.mark_output(r)  # r is a marked output: may not be overwritten
+        p.mark_output(mix)
+        plan = plan_program(p, inplace=True)
+        assert "r" not in plan.inplace_of
+        assert plan.inplace_of.get("mix") != "r"
+
+    def test_elementwise_declaration_validated(self):
+        p = Program("bad")
+        x = p.add_input("x", shape=(4,))
+        with pytest.raises(ProgramError):
+            p.add_host("e", lambda out, v: None, [x],
+                       output_shapes={"y": (4,)}, elementwise=("zzz",))
+        with pytest.raises(ProgramError):
+            p.add_host("f", lambda out, v: None, [x],
+                       output_shapes={"y2": (8,)}, elementwise=(x,))
+        with pytest.raises(ProgramError):
+            p.add_host("g", lambda out, v: None, [x],
+                       output_shapes={"y3": (4,)}, fills_output=False,
+                       elementwise=(x,))
+
+    def test_encoder_inplace_shrinks_arena(self):
+        program = build_encoder_program([7, 3, 5],
+                                        EncoderWeights.zeros(SMALL), SMALL)
+        plain = plan_program(program)
+        inplace = plan_program(program, inplace=True)
+        assert inplace.inplace_values > 0
+        assert inplace.arena_bytes < plain.arena_bytes
+        assert inplace.inplace_shared_bytes > 0
+        summary = inplace.summary()
+        assert summary["inplace"] and summary["inplace_values"] > 0
+
+    def test_inplace_arena_never_exceeds_double_buffered(self):
+        # The planner packs both ways and keeps the aliasing only when
+        # it does not lose, so the invariant holds for any shape.
+        rng = np.random.default_rng(0)
+        for _ in range(12):
+            lengths = rng.integers(1, 24, size=int(rng.integers(1, 5)))
+            program = build_encoder_program(
+                [int(n) for n in lengths], EncoderWeights.zeros(SMALL),
+                SMALL, masked=bool(rng.integers(2)))
+            assert (plan_program(program, inplace=True).arena_bytes
+                    <= plan_program(program).arena_bytes)
+
+    def test_compiled_stats_report_node_kinds(self):
+        program = build_encoder_program([5, 3], EncoderWeights.zeros(SMALL),
+                                        SMALL, masked=False)
+        session = Session(backend="vector",
+                          executor=Executor(backend="vector"))
+        stats = session.compile(program).stats()
+        assert stats["node_kinds"]["kernel"] == len(program.kernel_nodes)
+        assert stats["node_kinds"]["host"] == len(program.host_nodes)
+
+    def test_memory_report_surfaces_inplace_numbers(self):
+        from repro.analysis.memory import intermediate_memory_report
+
+        report = intermediate_memory_report([7, 3, 5], SMALL, n_layers=2)
+        assert report["arena_bytes_inplace"] <= report["arena_bytes"]
+        assert report["inplace_values"] > 0
+        assert 0.0 <= report["inplace_savings"] < 1.0
+        assert report["peak_live_bytes"] <= report["arena_bytes"]
+
+    def test_ff_heavy_stack_inplace_strictly_shrinks_arena(self):
+        # Short sequences + a wide feed-forward: the token-linear buffers
+        # dominate the arena, so aliasing the residual adds and the ReLU
+        # must cut it, not merely break even.
+        config = TransformerConfig(hidden_size=128, num_heads=4,
+                                   head_size=32, ff_size=512, num_layers=2,
+                                   loop_pad=4, bulk_pad=16, attention_tile=8)
+        lengths = np.random.default_rng(2).integers(4, 13, size=8)
+        program = build_encoder_stack_program(
+            [int(n) for n in lengths], EncoderWeights.zeros(config), config,
+            masked=True)
+        assert (plan_program(program, inplace=True).arena_bytes
+                < plan_program(program).arena_bytes)
+
+    def test_inplace_execution_matches_double_buffered(self):
+        p = Program("numeric")
+        x = p.add_input("x", shape=(4, 8))
+        a = linear_node(p, x,
+                        np.arange(64, dtype=np.float32).reshape(8, 8) / 8.0,
+                        name="lin", out="a")
+        r = relu_node(p, a, name="relu", out="r")
+        mix = add_node(p, r, r, name="mix")
+        p.mark_output(mix)
+        rng = np.random.default_rng(3)
+        inputs = {"x": rng.standard_normal((4, 8)).astype(np.float32)}
+        ref = Session(backend="vector",
+                      executor=Executor(backend="vector")).run(p, inputs)
+        got = Session(backend="vector", inplace=True,
+                      executor=Executor(backend="vector")).run(p, inputs)
+        assert np.array_equal(ref["mix"], got["mix"])
+
+
+# ---------------------------------------------------------------------------
+# Planner: what running the steps in plan order relies on
+# ---------------------------------------------------------------------------
+
+
+#: Session / planner keyword sets of the three plan modes.
+PLAN_MODES = {"double": {}, "inplace": {"inplace": True},
+              "fuse": {"fuse": True}}
+
+
+def _stack_plan(masked, n_layers, **mode):
+    program = build_encoder_stack_program(
+        [7, 3, 5], EncoderWeights.zeros(SMALL), SMALL, masked=masked,
+        n_layers=n_layers)
+    plan = plan_program(program, **mode)
+    work = plan.fused_program if plan.fused_program is not None else program
+    return work, plan
+
+
+class TestSerialOrderSafety:
+    """Steps run one after another in ``plan.order`` and nothing else
+    orders them, so the plan itself must keep producers first and never
+    let two live values share slab bytes (except an in-place hand-over)."""
+
+    @pytest.mark.parametrize("mode", sorted(PLAN_MODES))
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_order_runs_producers_before_consumers(self, mode, masked,
+                                                   n_layers):
+        work, plan = _stack_plan(masked, n_layers, **PLAN_MODES[mode])
+        assert sorted(plan.order) == list(range(len(work.nodes)))
+        step_of = {node: step for step, node in enumerate(plan.order)}
+        for idx, node in enumerate(work.nodes):
+            for name in node.inputs:
+                producer = work.values[name].producer
+                if producer is not None:
+                    assert step_of[producer] < step_of[idx], (node.name,
+                                                              name)
+
+    @pytest.mark.parametrize("mode", sorted(PLAN_MODES))
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_slab_sharers_never_live_together(self, mode, masked, n_layers):
+        _, plan = _stack_plan(masked, n_layers, **PLAN_MODES[mode])
+        by_slab = {}
+        for name, slab in plan.slab_of.items():
+            assert plan.value_elements[name] <= plan.slab_elements[slab]
+            by_slab.setdefault(slab, []).append(name)
+        for names in by_slab.values():
+            names.sort(key=lambda n: plan.liveness[n])
+            for a, b in zip(names, names[1:]):
+                a_death, b_birth = plan.liveness[a][1], plan.liveness[b][0]
+                if plan.inplace_of.get(b) == a:
+                    assert b_birth == a_death
+                else:
+                    assert b_birth > a_death, (a, b)
+        assert plan.num_slabs < plan.num_values
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_inplace_aliases_take_over_a_dying_input(self, masked,
+                                                     n_layers):
+        work, plan = _stack_plan(masked, n_layers, inplace=True)
+        assert plan.inplace_values >= n_layers
+        for out, src in plan.inplace_of.items():
+            node = work.nodes[work.values[out].producer]
+            assert src in node.elementwise
+            assert plan.liveness[src][1] == plan.liveness[out][0]
+            assert src not in work.outputs
+            assert plan.value_elements[src] == plan.value_elements[out]
+
+
+class TestSharedArena:
+    @pytest.mark.parametrize("mode", sorted(PLAN_MODES))
+    def test_interleaved_programs_match_private_sessions(self, mode):
+        # Every compiled program of a session runs in the session's one
+        # arena; alternating two signatures must not leak bytes between
+        # them.
+        weights = EncoderWeights.random(SMALL, seed=4)
+        batches = [_hidden((7, 3, 5), seed=1), _hidden((12, 2), seed=2)]
+        shared = Session(backend="vector",
+                         executor=Executor(backend="vector"),
+                         **PLAN_MODES[mode])
+        expected = [
+            run_encoder_layer_numeric(
+                hidden, weights, SMALL, masked=True,
+                session=Session(backend="vector",
+                                executor=Executor(backend="vector"),
+                                **PLAN_MODES[mode]))
+            for hidden in batches]
+        for _ in range(2):
+            for hidden, ref in zip(batches, expected):
+                got = run_encoder_layer_numeric(hidden, weights, SMALL,
+                                                masked=True, session=shared)
+                assert _bit_identical(ref, got)
+        assert shared.stats()["program_compiles"] == 2
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_fused_stack_bit_identical_to_double_buffered(self, masked,
+                                                          n_layers):
+        weights = EncoderWeights.random(SMALL, seed=11)
+        hidden = _hidden((7, 3, 5), seed=n_layers)
+        ref, got = (
+            run_encoder_stack_numeric(
+                hidden, weights, SMALL, masked=masked, n_layers=n_layers,
+                session=Session(backend="vector",
+                                executor=Executor(backend="vector"),
+                                fuse=fuse))
+            for fuse in (False, True))
+        assert _bit_identical(ref, got)
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,8 @@ class TestSchedulerPaddingAndValidation:
 
     def test_overlapped_drain_bit_identical_to_synchronous(self):
         # Pipelining demux of batch k with execution of batch k+1 must not
-        # change a single bit of any response, for serial and pipelined
-        # engines alike.
+        # change a single bit of any response, with or without in-place
+        # planning.
         stream = _requests([3, 7, 5, 2, 9, 4, 6], seed=9)
         baseline = BatchScheduler(WEIGHTS, SMALL,
                                   session=Session(backend="vector"),
@@ -223,9 +223,8 @@ class TestSchedulerPaddingAndValidation:
                                   bucket_tolerance=2)
         ids = baseline.submit_many(stream)
         expected = baseline.drain()
-        for engine, inplace in (("serial", False), ("pipelined", True)):
-            session = Session(backend="vector", engine=engine,
-                              inplace=inplace)
+        for inplace in (False, True):
+            session = Session(backend="vector", inplace=inplace)
             overlapped = BatchScheduler(WEIGHTS, SMALL, session=session,
                                         masked=True, max_batch_size=2,
                                         bucket_tolerance=2,
@@ -237,6 +236,38 @@ class TestSchedulerPaddingAndValidation:
                 assert np.array_equal(expected[a], results[b])
             stats = overlapped.stats()
             assert stats["overlapped_batches"] == stats["num_batches"] > 0
+
+    @pytest.mark.parametrize("max_batch", [1, 2, 4])
+    def test_step_runs_exactly_one_batch(self, max_batch):
+        scheduler = BatchScheduler(WEIGHTS, SMALL,
+                                   session=Session(backend="vector"),
+                                   masked=True, max_batch_size=max_batch,
+                                   bucket_tolerance=2)
+        ids = scheduler.submit_many(_requests([3, 7, 5, 2, 9, 4, 6], seed=3))
+        answered = {}
+        while scheduler.pending:
+            before = scheduler.num_batches
+            results = scheduler.step()
+            assert scheduler.num_batches == before + 1
+            assert 1 <= len(results) <= max_batch
+            answered.update(results)
+        assert scheduler.step() == {}
+        assert sorted(answered) == sorted(ids)
+        assert scheduler.num_batches >= -(-len(ids) // max_batch)
+
+    @pytest.mark.parametrize("mode", [{}, {"inplace": True},
+                                      {"fuse": True}],
+                             ids=["double", "inplace", "fuse"])
+    def test_replay_bit_identical_under_each_plan_mode(self, mode):
+        scheduler = BatchScheduler(WEIGHTS, SMALL,
+                                   session=Session(backend="vector", **mode),
+                                   masked=True, max_batch_size=3,
+                                   bucket_tolerance=2, log_batches=True)
+        ids = scheduler.submit_many(_requests([3, 7, 5, 2, 9, 4, 6], seed=8))
+        results = scheduler.drain()
+        assert sorted(results) == sorted(ids)
+        assert scheduler.replay_bit_identical(results)
+        assert scheduler.stats()["fuse"] == bool(mode.get("fuse"))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,8 @@ def _requests(lengths=LENGTHS, seed=0):
             .astype(np.float32) for n in lengths]
 
 
-def _scheduler(injector=None, *, engine="serial", **kwargs):
-    session = Session(backend="vector", engine=engine,
-                      fault_injector=injector)
+def _scheduler(injector=None, **kwargs):
+    session = Session(backend="vector", fault_injector=injector)
     kwargs.setdefault("max_batch_size", 4)
     kwargs.setdefault("bucket_tolerance", 2)
     return BatchScheduler(WEIGHTS, SMALL, session=session, masked=True,
