@@ -169,7 +169,6 @@ def run_benchmark(smoke: bool = False) -> dict:
              "yes" if entry["others_bit_identical"] else "NO"],
             widths))
         scheduler.close()
-        scheduler.session.close()
 
     # Chaos sweep: probability faults armed at every point at once; every
     # request gets a retry budget.  The drain must still complete with
@@ -197,7 +196,6 @@ def run_benchmark(smoke: bool = False) -> dict:
         "drain_s": elapsed,
     }
     scheduler.close()
-    scheduler.session.close()
     rows.append("")
     rows.append(format_row(
         ["chaos (all)", payload["chaos"]["completed"],

@@ -121,8 +121,6 @@ def _measure_fusion(config, weights, lengths, n_layers, repeats):
              f"{entry['arena_bytes_base']}->{entry['arena_bytes_fused']}",
              p50_base, p50_fused,
              "yes" if bit_identical else "NO"], _WIDTHS))
-        base.close()
-        fused.close()
     return rows, entries
 
 
@@ -148,7 +146,6 @@ def _measure_cold_start(config, weights, lengths, n_layers, trials):
             t0 = time.perf_counter()
             s_cold.compile(program)
             cold_ms.append((time.perf_counter() - t0) * 1e3)
-            s_cold.close()
 
             clear_structures()
             s_warm = Session(backend="vector", disk_cache=cache_dir,
@@ -157,7 +154,6 @@ def _measure_cold_start(config, weights, lengths, n_layers, trials):
             s_warm.compile(program)
             warm_ms.append((time.perf_counter() - t0) * 1e3)
             warm_lowers.append(s_warm.executor.lower_count)
-            s_warm.close()
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
     cold = float(np.median(cold_ms))

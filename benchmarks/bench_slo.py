@@ -244,7 +244,6 @@ def run_benchmark(smoke: bool = False) -> dict:
             payload["tolerance_trajectory"] = \
                 scheduler.adaptive_tolerance.trajectory
         payload["modes"][mode] = entry
-        scheduler.session.close()
 
     fifo, slo = payload["modes"]["fifo"], payload["modes"]["slo"]
     payload["goodput_gain"] = (slo["goodput_fraction"]

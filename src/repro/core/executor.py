@@ -343,6 +343,39 @@ def schedule_signature(
     return (id(schedule.operator), sched_sig, layouts_sig)
 
 
+# ---------------------------------------------------------------------------
+# Schedule-memo registry (bounded lens-bytes-keyed LRU caches)
+# ---------------------------------------------------------------------------
+
+
+_SCHEDULE_MEMOS: Dict[str, Callable] = {}
+
+
+def register_schedule_memo(name: str, fn: Callable) -> Callable:
+    """Register an ``@lru_cache``-wrapped schedule memo for observability.
+
+    The ops modules memoize schedules per lengths-bytes so the
+    executor's kernel cache (keyed on schedule identity) hits; the LRU
+    ``maxsize`` bounds what diverse traffic can pin in long-running
+    processes.  Registration makes cap/size/hit counts visible through
+    ``Executor.codegen_stats()["schedule_memos"]``.
+    """
+    if not hasattr(fn, "cache_info"):
+        raise TypeError(f"schedule memo {name!r} is not lru_cache-wrapped")
+    _SCHEDULE_MEMOS[name] = fn
+    return fn
+
+
+def schedule_memo_stats() -> Dict[str, Dict[str, object]]:
+    """Hit/miss/size/cap of every registered schedule memo."""
+    out: Dict[str, Dict[str, object]] = {}
+    for name, fn in sorted(_SCHEDULE_MEMOS.items()):
+        info = fn.cache_info()
+        out[name] = {"hits": info.hits, "misses": info.misses,
+                     "size": info.currsize, "cap": info.maxsize}
+    return out
+
+
 class Executor:
     """Compiles schedules and runs the generated kernels.
 
@@ -723,21 +756,8 @@ class Executor:
             "fused_fallbacks": self.fused_fallbacks,
             "fused_cache_hits": self.fused_cache_hits,
             "fused_fallback_reasons": dict(self.fused_fallback_reasons),
-            "schedule_memos": self._schedule_memo_stats(),
+            "schedule_memos": schedule_memo_stats(),
         }
-
-    @staticmethod
-    def _schedule_memo_stats() -> Dict[str, Dict[str, int]]:
-        """Hit/size/cap statistics of every registered bounded schedule
-        memo (the ops-layer ``lru_cache`` builders keyed by length-table
-        bytes).  The caps bound memory in long-running processes; the
-        sizes/hits here let benchmarks confirm the memos -- and hence the
-        executor's kernel cache keyed on schedule identity -- are working."""
-        try:
-            from repro.core.tunespace import schedule_memo_stats
-            return schedule_memo_stats()
-        except Exception:
-            return {}
 
     # -- execution --------------------------------------------------------------
 

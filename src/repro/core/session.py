@@ -59,8 +59,6 @@ from repro.core.program import (
     ROLE_INPUT,
 )
 from repro.core.ragged_tensor import RaggedTensor
-from repro.core.scheduledb import ScheduleDB
-from repro.core.tunespace import activate_policy, deactivate_policy
 
 
 #: Backwards-compatible aliases; the step kinds live in the engine module.
@@ -415,24 +413,6 @@ class Session:
         through the session's injection points (``"compile"`` on a
         program-cache miss, ``"run"`` on a compiled program's outputs).
         ``None`` (default) leaves every path untouched.
-    tune:
-        Schedule-autotuning mode.  ``None`` (default) runs the
-        hand-picked schedules untouched.  ``"load"`` activates a
-        :class:`~repro.core.tunespace.SchedulePolicy` over
-        ``schedule_db`` for the session's lifetime: op builders
-        (``qkt_node`` / ``attnv_node``) consult the DB per raggedness
-        bucket and apply the stored tuned points, and :meth:`compile`
-        applies tuned chain-level knobs (planner fusion on/off) per
-        signature -- zero search, zero extra lowerings when the DB was
-        populated against the same AOT disk cache.  ``"offline"`` is
-        the same activation but signals intent: bind an
-        :class:`~repro.core.autotune.AutoTuner` to this session and
-        populate the DB first.
-    schedule_db:
-        The persistent tuned-schedule store backing ``tune``: a
-        :class:`~repro.core.scheduledb.ScheduleDB`, a path, or ``True``
-        for the default cache directory.  Defaults to the default
-        directory when ``tune`` is set.
     """
 
     def __init__(self, backend: str = "vector",
@@ -444,12 +424,7 @@ class Session:
                  inplace: bool = False,
                  fuse: bool = False,
                  disk_cache: Union[AOTCache, str, bool, None] = None,
-                 fault_injector=None,
-                 tune: Optional[str] = None,
-                 schedule_db: Union[ScheduleDB, str, bool, None] = None):
-        if tune not in (None, "offline", "load"):
-            raise ValueError(
-                f"tune must be None, 'offline' or 'load', got {tune!r}")
+                 fault_injector=None):
         #: whether the executor is session-private (passed explicitly) or
         #: the process-wide shared one -- ``reset`` only clears the kernel
         #: cache of a private executor.
@@ -477,26 +452,6 @@ class Session:
             # cache so Session(disk_cache=...) always takes effect.
             self.executor.disk_cache = cache
         self.backend = self.executor.backend.name
-        #: persistent tuned-schedule store + the active lookup policy.
-        #: The policy is process-global (op builders have no session
-        #: handle), so sessions activate it for their lifetime and
-        #: :meth:`close` deactivates it -- last activation wins when
-        #: several tuning sessions overlap.
-        self.tune = tune
-        if schedule_db is None or schedule_db is False:
-            sdb: Optional[ScheduleDB] = ScheduleDB() if tune else None
-        elif isinstance(schedule_db, ScheduleDB):
-            sdb = schedule_db
-        elif schedule_db is True:
-            sdb = ScheduleDB()
-        else:
-            sdb = ScheduleDB(schedule_db)
-        self.schedule_db = sdb
-        self._policy = (activate_policy(sdb, self.backend)
-                        if tune is not None else None)
-        #: compiles whose planner-fusion flag came from a tuned
-        #: chain-level entry instead of the session default.
-        self.tuned_fuse_overrides = 0
         #: the session's execution engine (shared by every compiled
         #: program run through this session).
         self.engine: ExecutionEngine = get_engine(engine)
@@ -555,21 +510,6 @@ class Session:
                 self.signature_stats.pop(next(iter(self.signature_stats)))
         entry["hits" if hit else "misses"] += 1
 
-    def _chain_point(self, signature: Any):
-        """The tuned chain-level point for a lengths-tuple signature.
-
-        Best-effort: signatures are caller-defined hashables, and only
-        int-sequence signatures (the lengths tuples the serving and
-        benchmark paths tag runs with) map to a raggedness bucket.
-        """
-        if self._policy is None:
-            return None
-        try:
-            lengths = tuple(int(s) for s in signature)
-        except (TypeError, ValueError):
-            return None
-        return self._policy.point_for("encoder_chain", lengths)
-
     def compile(self, program: Program,
                 signature: Optional[Any] = None) -> CompiledProgram:
         """Compile a program (cached per program / raggedness signature).
@@ -597,19 +537,11 @@ class Session:
             # the same signature compiles cleanly.
             self.fault_injector.fire("compile", signature=signature)
         self.program_compiles += 1
-        fuse = self.fuse
-        if self._policy is not None and signature is not None:
-            point = self._chain_point(signature)
-            if point is not None and "fuse" in point:
-                tuned_fuse = bool(point["fuse"])
-                if tuned_fuse != fuse:
-                    self.tuned_fuse_overrides += 1
-                fuse = tuned_fuse
         lowers_before = self.executor.lower_count
         disk_before = self.executor.disk_hits
         generated_before = self.executor.structures_generated
         compiled = CompiledProgram(program, self.executor,
-                                   inplace=self.inplace, fuse=fuse,
+                                   inplace=self.inplace, fuse=self.fuse,
                                    slab_buffers=self._arena_slabs,
                                    run_lock=self._arena_lock)
         lowered = self.executor.lower_count - lowers_before
@@ -775,18 +707,6 @@ class Session:
         if self._private_executor:
             self.executor.reset()
 
-    def close(self) -> None:
-        """Deactivate the session's tuned-schedule policy (idempotent).
-        The session remains usable afterwards."""
-        if self._policy is not None:
-            deactivate_policy(self._policy)
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def stats(self) -> Dict[str, object]:
         """Session counters plus engine and executor codegen statistics."""
         return {
@@ -804,14 +724,6 @@ class Session:
             "prelude_memo": dict(self.prelude_memo_stats),
             "signature_hits": self._signature_totals["hits"],
             "signature_misses": self._signature_totals["misses"],
-            "tune": {
-                "mode": self.tune,
-                "policy": (self._policy.stats()
-                           if self._policy is not None else None),
-                "schedule_db": (self.schedule_db.stats()
-                                if self.schedule_db is not None else None),
-                "fuse_overrides": self.tuned_fuse_overrides,
-            },
             "codegen": self.executor.codegen_stats(),
         }
 

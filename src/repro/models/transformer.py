@@ -35,7 +35,6 @@ from repro.core.prelude import PreludeBuilder, bulk_pad_lengths
 from repro.core.program import Program
 from repro.core.session import Session, default_session
 from repro.core.storage import RaggedLayout
-from repro.core.tunespace import TuneParam, TunePoint, TuneSpace, register_tune_op
 from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.ops.attention import (
     attn_merge_node,
@@ -699,24 +698,6 @@ def encoder_stack_program(
         key, lambda: (build_encoder_stack_program(lengths, per_layer, config,
                                                   masked), per_layer))
     return program
-
-
-def _encoder_chain_tune_space(**_) -> TuneSpace:
-    """The chain-level schedule knob: planner kernel fusion on/off.
-
-    Fusion collapses the per-layer kernel chain into a few fused
-    dispatches (PR 8: -83..86% dispatches) but pads intermediates to the
-    producer's storage extents -- whether that wins depends on how
-    dispatch-bound the signature is, which is exactly what the tuner
-    measures per raggedness bucket.  The default point is the unfused
-    chain (``Session(fuse=False)``, today's default)."""
-    return TuneSpace(
-        "encoder_chain",
-        [TuneParam("fuse", (False, True))],
-        TunePoint({"fuse": False}))
-
-
-register_tune_op("encoder_chain", _encoder_chain_tune_space, kind="chain")
 
 
 def run_encoder_stack_numeric(

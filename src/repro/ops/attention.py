@@ -27,13 +27,6 @@ from repro.core.operator import compute, input_tensor, reduce_axis, sum_reduce
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.storage import RaggedLayout
 from repro.core.schedule import Schedule
-from repro.core.tunespace import (
-    TuneParam,
-    TunePoint,
-    TuneSpace,
-    applied_point,
-    register_tune_op,
-)
 from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.ops.softmax import (
     RaggedBatch,
@@ -41,7 +34,7 @@ from repro.ops.softmax import (
     softmax_compiled,
     softmax_slices,
 )
-from repro.substrates.costmodel import KernelLaunch, Workload, gemm_flops
+from repro.substrates.costmodel import KernelLaunch, Workload
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +148,9 @@ def _qkv_layout(lengths: "Sequence[int] | RaggedBatch", heads: int,
 
 
 def _qkt_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
-                  head_size: int, scale: Optional[float], tile: int = 0,
-                  remap: bool = False) -> Schedule:
+                  head_size: int, scale: Optional[float]) -> Schedule:
     """The QK^T schedule (one object per batch -> kernel-cache hits in
-    every layer).  A non-zero ``tile`` splits the query-row vloop (guarded
-    tail tile) and ``remap`` adds a sort-descending thread remap on the
-    governing loop -- the knobs the Figure 14 AttnV variants expose, made
-    tunable."""
+    every layer)."""
     b = RaggedBatch.of(lengths)
     batch, seq = b.dim, b.seq
 
@@ -180,23 +169,10 @@ def _qkt_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
                 * k_in[n, h, j, LoopVar(dax.dim)], dax)
             return scores * float(scale) if scale is not None else scores
 
-        op = compute("QKT", [batch, head, qi, kj],
-                     b.extents(heads, seq, seq), body)
-        return _split_rows(Schedule(op), tile, remap)
+        return Schedule(compute("QKT", [batch, head, qi, kj],
+                                b.extents(heads, seq, seq), body))
 
-    return b.once(("qkt", heads, head_size, scale, int(tile), bool(remap)),
-                  build)
-
-
-def _split_rows(schedule: Schedule, tile: int, remap: bool) -> Schedule:
-    """Apply the tunable row split / thread remap of the attention gemms."""
-    if tile:
-        op = schedule.operator
-        schedule.split(op.dims[2], int(tile))
-        if remap:
-            schedule.parallel(op.dims[0])
-            schedule.thread_remap(op.dims[0], "sort_desc")
-    return schedule
+    return b.once(("qkt", heads, head_size, scale), build)
 
 
 def qkt_compiled(q: Sequence[np.ndarray], k: Sequence[np.ndarray],
@@ -247,7 +223,13 @@ def _attnv_schedule(lengths: "Sequence[int] | RaggedBatch", heads: int,
                      lambda n, h, i, d: sum_reduce(
                          a_in[n, h, i, LoopVar(jax.dim)]
                          * v_in[n, h, LoopVar(jax.dim), d], jax))
-        return _split_rows(Schedule(op), tile, remap)
+        schedule = Schedule(op)
+        if tile:
+            schedule.split(qi, int(tile))
+            if remap:
+                schedule.parallel(batch)
+                schedule.thread_remap(batch, "sort_desc")
+        return schedule
 
     return b.once(("attnv", heads, head_size, int(tile), bool(remap)), build)
 
@@ -343,15 +325,12 @@ def qkt_node(program: "Program", q: str, k: str,
 
     ``q`` / ``k`` name ``[batch, heads, s(b), head_size]`` ragged values;
     the output value holds the ``[batch, heads, s(b), s(b)]`` scores.
-    Uses the batch's schedule of :func:`_qkt_schedule` (under an active
-    tuned-schedule policy, the tuned variant for this raggedness bucket):
-    given a :class:`RaggedBatch`, every layer compiles to the same kernel
-    instance.
+    Uses the batch's schedule of :func:`_qkt_schedule`: given a
+    :class:`RaggedBatch`, every layer compiles to the same kernel instance.
     """
     batch = RaggedBatch.of(lengths)
-    schedule = _qkt_point_schedule(
-        applied_point("qkt", batch.lens), batch, int(heads), int(head_size),
-        None if scale is None else float(scale))
+    schedule = _qkt_schedule(batch, int(heads), int(head_size),
+                             None if scale is None else float(scale))
     return program.add_kernel(name, schedule, {"Q": q, "K": k},
                               attention_scores_layout(batch, heads), out=out)
 
@@ -360,14 +339,9 @@ def attnv_node(program: "Program", attn: str, v: str,
                lengths: "Sequence[int] | RaggedBatch", heads: int,
                head_size: int, name: str = "attnv",
                out: Optional[str] = None) -> str:
-    """Append the AttnV kernel (``probabilities @ V``) to a program graph.
-
-    Under an active tuned-schedule policy the split/remap variant
-    selected for this raggedness bucket is used instead of the
-    hand-picked default."""
+    """Append the AttnV kernel (``probabilities @ V``) to a program graph."""
     batch = RaggedBatch.of(lengths)
-    schedule = _attnv_point_schedule(
-        applied_point("attnv", batch.lens), batch, int(heads), int(head_size))
+    schedule = _attnv_schedule(batch, int(heads), int(head_size))
     return program.add_kernel(
         name, schedule, {"Attn": attn, "V": v},
         _qkv_layout(batch, int(heads), int(head_size)), out=out)
@@ -658,144 +632,3 @@ def _softmax_masked_launch(lengths: np.ndarray, config: TransformerConfig,
         impl_class=impl_class,
         parallel_tasks=max(int(s.sum()) * config.num_heads, 1),
     )
-
-
-# ---------------------------------------------------------------------------
-# Tunable schedule spaces (repro.core.tunespace)
-# ---------------------------------------------------------------------------
-#
-# The attention gemms expose the schedule knobs Figure 14 evaluates by
-# hand: the query-row split tile (0 = unsplit) and the sort-descending
-# thread remap.  The default point is the hand-picked schedule the node
-# builders ship today, so the default is always a valid space member.
-
-
-def _attention_tune_space(op: str, lengths: Sequence[int] = (),
-                          **_) -> TuneSpace:
-    max_len = max((int(s) for s in lengths), default=16)
-    tiles = (0,) + tuple(t for t in (2, 4, 8, 16) if t <= max_len)
-    return TuneSpace(
-        op,
-        [TuneParam("tile", tiles), TuneParam("remap", (False, True))],
-        TunePoint({"tile": 0, "remap": False}))
-
-
-def _qkt_point_schedule(point: Optional[TunePoint],
-                        lens: "Sequence[int] | RaggedBatch", heads: int,
-                        head_size: int, scale: Optional[float]) -> Schedule:
-    tile = int(point.get("tile", 0)) if point is not None else 0
-    return _qkt_schedule(lens, heads, head_size, scale, tile,
-                         bool(tile and point.get("remap", False)))
-
-
-def _attnv_point_schedule(point: Optional[TunePoint],
-                          lens: "Sequence[int] | RaggedBatch", heads: int,
-                          head_size: int) -> Schedule:
-    tile = int(point.get("tile", 0)) if point is not None else 0
-    return _attnv_schedule(lens, heads, head_size, tile,
-                           bool(tile and point.get("remap", False)))
-
-
-def _qkt_tune_build(point: TunePoint, lengths: Sequence[int],
-                    heads: int = 2, head_size: int = 8,
-                    scale: Optional[float] = None, **_) -> Schedule:
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    return _qkt_point_schedule(point, lens, int(heads), int(head_size),
-                               None if scale is None else float(scale))
-
-
-def _attnv_tune_build(point: TunePoint, lengths: Sequence[int],
-                      heads: int = 2, head_size: int = 8, **_) -> Schedule:
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    return _attnv_point_schedule(point, lens, int(heads), int(head_size))
-
-
-def _attention_tune_launch(name: str, point: TunePoint,
-                           lengths: Sequence[int], heads: int,
-                           head_size: int) -> Workload:
-    """A candidate point as a cost-model workload for analytical pruning.
-
-    Finer tiles mean more, smaller tasks (better occupancy and balance on
-    a parallel substrate, slightly more indirect-access bookkeeping); the
-    remap models as a balanced greedy assignment of the per-tile work."""
-    lens = np.asarray(lengths, dtype=np.int64)
-    s = lens.astype(np.float64)
-    max_len = int(s.max()) if s.size else 1
-    tile = int(point.get("tile", 0)) or max(max_len, 1)
-    remap = bool(point.get("remap", False))
-    flops = float((2.0 * np.square(s) * heads * head_size).sum())
-    elements = float((heads * np.square(s) + 2 * s * heads * head_size).sum())
-    works = []
-    for length in lens:
-        tiles = max(-(-int(length) // tile), 1)
-        works.extend(
-            [2.0 * min(tile, int(length)) * head_size * float(length)]
-            * tiles * heads)
-    work = np.asarray(works, dtype=np.float64)
-    kernel = KernelLaunch(
-        name=name,
-        flops=flops,
-        bytes_moved=elements * 4.0,
-        impl_class="compiler",
-        parallel_tasks=work.size,
-        task_work=work,
-        balanced=remap or tile >= max_len,
-        indirect_access_overhead=0.02 + (0.01 if tile < max_len else 0.0),
-    )
-    return Workload(name=f"{name}-tune", kernels=[kernel])
-
-
-def _qkt_tune_launch(point: TunePoint, lengths: Sequence[int],
-                     heads: int = 2, head_size: int = 8, **_) -> Workload:
-    return _attention_tune_launch("QKT", point, lengths, int(heads),
-                                  int(head_size))
-
-
-def _attnv_tune_launch(point: TunePoint, lengths: Sequence[int],
-                       heads: int = 2, head_size: int = 8, **_) -> Workload:
-    return _attention_tune_launch("AttnV", point, lengths, int(heads),
-                                  int(head_size))
-
-
-def _qkt_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
-                     heads: int = 2, head_size: int = 8,
-                     **_) -> Dict[str, RaggedTensor]:
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    heads, head_size = int(heads), int(head_size)
-    layout = _qkv_layout(lens, heads, head_size)
-    q = [rng.standard_normal((heads, int(s), head_size)).astype(np.float32)
-         for s in lens]
-    k = [rng.standard_normal((heads, int(s), head_size)).astype(np.float32)
-         for s in lens]
-    return {"Q": RaggedTensor.from_slices(layout, q),
-            "K": RaggedTensor.from_slices(layout, k)}
-
-
-def _attnv_tune_inputs(lengths: Sequence[int], rng: np.random.Generator,
-                       heads: int = 2, head_size: int = 8,
-                       **_) -> Dict[str, RaggedTensor]:
-    lens = np.ascontiguousarray(lengths, dtype=np.int64)
-    heads, head_size = int(heads), int(head_size)
-    attn = [rng.standard_normal((heads, int(s), int(s))).astype(np.float32)
-            for s in lens]
-    v = [rng.standard_normal((heads, int(s), head_size)).astype(np.float32)
-         for s in lens]
-    return {
-        "Attn": RaggedTensor.from_slices(attention_scores_layout(lens, heads),
-                                         attn),
-        "V": RaggedTensor.from_slices(_qkv_layout(lens, heads, head_size), v),
-    }
-
-
-register_tune_op(
-    "qkt",
-    lambda **ctx: _attention_tune_space("qkt", **ctx),
-    build_fn=_qkt_tune_build,
-    launch_fn=_qkt_tune_launch,
-    inputs_fn=_qkt_tune_inputs)
-register_tune_op(
-    "attnv",
-    lambda **ctx: _attention_tune_space("attnv", **ctx),
-    build_fn=_attnv_tune_build,
-    launch_fn=_attnv_tune_launch,
-    inputs_fn=_attnv_tune_inputs)

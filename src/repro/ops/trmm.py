@@ -21,10 +21,10 @@ import numpy as np
 
 from repro.core.dims import Dim
 from repro.core.extents import ConstExtent, VarExtent
+from repro.core.executor import register_schedule_memo
 from repro.core.ir import LoopVar
 from repro.core.operator import compute, input_tensor, reduce_axis, sum_reduce
 from repro.core.schedule import Schedule
-from repro.core.tunespace import register_schedule_memo
 from repro.substrates.costmodel import KernelLaunch, Workload, gemm_flops
 
 

@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.core.dims import Dim
 from repro.core.extents import ConstExtent, VarExtent
+from repro.core.executor import register_schedule_memo
 from repro.core.ir import LoopVar
 from repro.core.operator import compute, input_tensor, reduce_axis, sum_reduce
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
-from repro.core.tunespace import register_schedule_memo
 from repro.data.datasets import uniform_multiple_lengths
 from repro.substrates.costmodel import KernelLaunch, Workload, gemm_flops
 

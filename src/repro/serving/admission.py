@@ -161,13 +161,10 @@ class AdaptiveTolerance:
 
     * overhead above ``max_padding_overhead`` -> halve (padding is
       costing more compute than signature reuse is saving);
-    * one raggedness bucket dominating the window's traffic (share >=
-      ``dominance_hold``, reported via the optional ``dominant_share``
-      argument from a scheduler wired to a
-      :class:`~repro.core.scheduledb.ScheduleDB`) while the hit rate is
-      healthy -> hold, even if the hit rate alone would have widened:
-      the tuned schedules stored per bucket stay valid, and widening
-      would remap the dominant traffic onto an untuned bucket;
+    * one raggedness bucket dominating the window's batches (share >=
+      ``dominance_hold``, passed as ``dominant_share`` by the scheduler)
+      -> hold, even if the hit rate alone would have widened: the
+      dominant bucket already recurs, so widening buys little reuse;
     * hit rate below ``target_hit_rate`` (and overhead in budget) ->
       double (traffic is too length-diverse for the current buckets);
     * otherwise hold.
@@ -220,11 +217,10 @@ class AdaptiveTolerance:
             return max(current // 2, self.min_tolerance)
         if dominant_share is not None \
                 and dominant_share >= self.dominance_hold:
-            # One bucket owns the window's traffic: its signature recurs
-            # by definition, so widening cannot buy much reuse -- and it
-            # would remap the dominant traffic onto a bucket with no
-            # tuned schedules.  Hold (narrowing above still applies: the
-            # padding budget is a hard constraint).
+            # One bucket owns the window's traffic: it recurs by
+            # definition, so widening cannot buy much reuse.  Hold
+            # (narrowing above still applies: the padding budget is a
+            # hard constraint).
             return current
         if hit_rate < self.target_hit_rate and current < self.max_tolerance:
             return min(max(current, 1) * 2, self.max_tolerance)

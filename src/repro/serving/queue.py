@@ -40,7 +40,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Iterable, List, Optional
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -324,3 +324,18 @@ def bucketed_length(length: int, bucket_tolerance: int) -> int:
     if t <= 1:
         return length
     return -(-length // t) * t
+
+
+def raggedness_bucket(lengths: Sequence[int]) -> Tuple[int, int, int]:
+    """Bucket a raggedness signature to ``(batch, max_len, total_tokens)``,
+    each rounded up to a power of two (``(0, 0, 0)`` for no sequences).
+
+    Signatures of similar shape share a bucket, so the scheduler's
+    adaptive-tolerance window sees one dominant bucket even when the
+    exact length tuples differ.
+    """
+    lens = [int(x) for x in lengths]
+    if not lens:
+        return (0, 0, 0)
+    return tuple(max(n, 0) if n <= 1 else 1 << (n - 1).bit_length()
+                 for n in (len(lens), max(lens), sum(lens)))

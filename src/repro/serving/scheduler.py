@@ -84,9 +84,7 @@ from repro.core.errors import (
     ExecutionError,
     LoweringError,
 )
-from repro.core.scheduledb import ScheduleDB
 from repro.core.session import Session, default_session
-from repro.core.tunespace import raggedness_bucket
 from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.models.transformer import (
     _weights_per_layer,
@@ -107,6 +105,7 @@ from repro.serving.queue import (
     RequestQueue,
     RequestState,
     bucketed_length,
+    raggedness_bucket,
 )
 
 #: Result type a drain resolves each request to.
@@ -248,17 +247,6 @@ class BatchScheduler:
         *already-expired* requests -- because it trades late completions
         for earlier timeouts, which is the right call for goodput but
         not for best-effort serving.
-    schedule_db:
-        Optional :class:`~repro.core.scheduledb.ScheduleDB` (or a path /
-        ``True`` for the default directory).  Every delivered batch's
-        raggedness bucket and valid/padded token counts are recorded
-        into the DB's traffic table, so an offline
-        :class:`~repro.core.autotune.AutoTuner` run knows which
-        signatures dominate live traffic and tunes those first; the
-        live dominant-bucket share also feeds the adaptive-tolerance
-        controller (hold the tolerance while one tuned bucket owns the
-        window).  Independent from the *session's* ``tune=`` mode --
-        wire both to close the full loop.
     """
 
     def __init__(self, weights, config: TransformerConfig = PAPER_BASE_CONFIG,
@@ -281,8 +269,7 @@ class BatchScheduler:
                                            None] = None,
                  service_model: Optional[
                      Callable[["ScheduledBatch"], float]] = None,
-                 drop_doomed: bool = False,
-                 schedule_db: Union[ScheduleDB, str, bool, None] = None):
+                 drop_doomed: bool = False):
         if max_batch_size <= 0:
             raise ValueError(
                 f"max_batch_size must be positive, got {max_batch_size}")
@@ -334,15 +321,6 @@ class BatchScheduler:
         self.adaptive_tolerance = adaptive_tolerance
         self.service_model = service_model
         self.drop_doomed = bool(drop_doomed)
-        #: persistent tuned-schedule store receiving live traffic stats.
-        if schedule_db is None or schedule_db is False:
-            self.schedule_db: Optional[ScheduleDB] = None
-        elif isinstance(schedule_db, ScheduleDB):
-            self.schedule_db = schedule_db
-        elif schedule_db is True:
-            self.schedule_db = ScheduleDB()
-        else:
-            self.schedule_db = ScheduleDB(schedule_db)
         #: per-adaptation-window batch counts by raggedness bucket,
         #: feeding the controller's dominant-share hold.
         self._window_buckets: Counter = Counter()
@@ -659,11 +637,7 @@ class BatchScheduler:
         self.num_completed += len(batch.requests)
         self.valid_tokens += sum(batch.lengths)
         self.padded_tokens += sum(batch.padded_lengths)
-        bucket = raggedness_bucket(batch.lengths)
-        self._window_buckets[bucket] += 1
-        if self.schedule_db is not None:
-            self.schedule_db.record_traffic(
-                bucket, sum(batch.lengths), sum(batch.padded_lengths))
+        self._window_buckets[raggedness_bucket(batch.lengths)] += 1
         # Bounded like the session's signature_stats: beyond the capacity
         # the distinct-signature count saturates instead of growing
         # scheduler memory with every new traffic shape.
@@ -720,14 +694,9 @@ class BatchScheduler:
         window_batches = sum(self._window_buckets.values())
         dominant_share = (max(self._window_buckets.values())
                           / window_batches if window_batches else None)
-        try:
-            proposed = controller.propose(self.bucket_tolerance, hit_rate,
-                                          overhead,
-                                          dominant_share=dominant_share)
-        except TypeError:
-            # Custom controllers predating the dominant-share signal.
-            proposed = controller.propose(self.bucket_tolerance, hit_rate,
-                                          overhead)
+        proposed = controller.propose(self.bucket_tolerance, hit_rate,
+                                      overhead,
+                                      dominant_share=dominant_share)
         controller.record(self.num_batches, self.bucket_tolerance, proposed,
                           hit_rate, overhead)
         if proposed != self.bucket_tolerance:
@@ -939,8 +908,8 @@ class BatchScheduler:
     def close(self) -> None:
         """Shut down the overlap worker (idempotent -- safe to call
         repeatedly, including after a failed drain; recreated lazily if
-        the scheduler is used again).  Does NOT close the session -- it
-        may be shared; call ``session.close()`` separately."""
+        the scheduler is used again).  The session is left alone -- it
+        may be shared."""
         pool, self._demux_pool = self._demux_pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -1147,10 +1116,6 @@ class BatchScheduler:
             "admission_fallbacks": self.admission_fallbacks,
             "tolerance_adjustments": self.tolerance_adjustments,
             "doomed_dropped": self.doomed_dropped,
-            # schedule-DB traffic feedback (None when not wired)
-            "traffic_dominant_share": (
-                self.schedule_db.dominant_share()
-                if self.schedule_db is not None else None),
             "latency_by_priority": latency_by_priority,
             **{key: current[key] - self._baseline[key]
                for key in current},

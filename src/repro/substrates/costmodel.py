@@ -214,7 +214,7 @@ class CostModel:
 
 
 # ---------------------------------------------------------------------------
-# Candidate ranking (the autotuner's analytical pruning hook)
+# Candidate ranking
 # ---------------------------------------------------------------------------
 
 
@@ -223,12 +223,11 @@ def rank_workloads(workloads: Sequence[Workload],
     """Indices of ``workloads`` ordered by modelled latency (fastest first,
     ties kept stable by input order).
 
-    This is the fast pruning stage of :mod:`repro.core.autotune`: every
-    candidate schedule point is described as a workload, ranked here, and
-    only the analytical top-k ever reach wall-clock measurement.  The
-    ranking leans on the monotonicity of the model's terms (more load
-    imbalance -> higher latency, fewer launches -> lower latency, more
-    occupancy -> lower latency), which ``tests/test_costmodel.py`` pins.
+    Describe each candidate schedule as a workload to compare them
+    analytically, without running any.  The ranking leans on the
+    monotonicity of the model's terms (more load imbalance -> higher
+    latency, fewer launches -> lower latency, more occupancy -> lower
+    latency), which ``tests/test_costmodel.py`` pins.
     """
     if device is None:
         from repro.substrates.device import intel_cpu

@@ -152,9 +152,9 @@ class TestWorkloads:
         assert wl.total_bytes() > 0
 
 
-class TestTunerMonotonicity:
-    """The monotone relationships the autotuner's analytical pruning
-    stage (:func:`rank_workloads`) relies on: skewing per-task work at
+class TestRankingMonotonicity:
+    """The monotone relationships analytical schedule ranking
+    (:func:`rank_workloads`) relies on: skewing per-task work at
     constant total raises latency, exposing more parallelism never
     raises it, and fewer launches (horizontal fusion) lowers it."""
 

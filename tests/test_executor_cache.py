@@ -11,6 +11,8 @@ from repro.core.executor import (
     Executor,
     estimate_dense_flops,
     estimate_flops,
+    register_schedule_memo,
+    schedule_memo_stats,
     schedule_signature,
 )
 from repro.core.ir import LoopVar
@@ -19,6 +21,7 @@ from repro.core.prelude import PreludeCache
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
+import repro.ops.vgemm  # noqa: F401  (registers the "vgemm.schedule" memo)
 
 LENGTHS = np.array([5, 2, 3])
 
@@ -291,3 +294,24 @@ class TestPreludeCache:
         stats = prelude_memo_stats()
         assert stats["misses"] == 2
         assert stats["hits"] == 1
+
+
+class TestScheduleMemos:
+    def test_schedule_memos_bounded_and_exposed(self):
+        stats = schedule_memo_stats()
+        assert "vgemm.schedule" in stats
+        # The SDPA builders share schedules per program graph, never per
+        # length bytes process-wide (those memos thrashed under serving).
+        assert not any(name.startswith(("attention.", "softmax."))
+                       for name in stats)
+        for info in stats.values():
+            assert info["cap"] == 64
+            assert info["size"] <= info["cap"]
+
+    def test_only_bounded_memos_register(self):
+        with pytest.raises(TypeError, match="lru_cache"):
+            register_schedule_memo("unbounded", lambda lens: lens)
+
+    def test_executor_codegen_stats_include_memos(self):
+        stats = Executor(backend="vector").codegen_stats()
+        assert "vgemm.schedule" in stats["schedule_memos"]

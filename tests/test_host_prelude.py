@@ -115,21 +115,18 @@ class TestWarmRunDoesNoLayoutWork:
                                                 masked):
         lengths = [5, 3, 7, 3]
         session = Session(**SESSIONS[variant])
-        try:
-            program = build_encoder_stack_program(lengths, LAYERS, SMALL,
-                                                  masked=masked)
-            tokens = packed_tokens(lengths, SMALL.hidden_size, 3)
-            counts = layout_calls(monkeypatch)
-            first = session.run(program, {"tokens": tokens})["out_tokens"]
-            # Q, K, V and the attention output of each sequence and layer.
-            assert counts["slice_bounds"] == 4 * len(lengths) * len(LAYERS)
-            counts.clear()
-            for _ in range(3):
-                again = session.run(program, {"tokens": tokens})["out_tokens"]
-                assert np.array_equal(first, again)
-            assert counts == {}
-        finally:
-            session.close()
+        program = build_encoder_stack_program(lengths, LAYERS, SMALL,
+                                              masked=masked)
+        tokens = packed_tokens(lengths, SMALL.hidden_size, 3)
+        counts = layout_calls(monkeypatch)
+        first = session.run(program, {"tokens": tokens})["out_tokens"]
+        # Q, K, V and the attention output of each sequence and layer.
+        assert counts["slice_bounds"] == 4 * len(lengths) * len(LAYERS)
+        counts.clear()
+        for _ in range(3):
+            again = session.run(program, {"tokens": tokens})["out_tokens"]
+            assert np.array_equal(first, again)
+        assert counts == {}
 
     def test_every_cached_program_keeps_its_own_table(self, monkeypatch):
         session = Session()
@@ -164,15 +161,12 @@ class TestSameAnswer:
             if bypass:
                 monkeypatch.setattr(RaggedTensor, "_slice_views", unmemoised)
             session = Session(**SESSIONS[variant])
-            try:
-                for lengths in SIGNATURES:
-                    program = build_encoder_stack_program(
-                        lengths, LAYERS, SMALL, masked=masked)
-                    tokens = packed_tokens(lengths, SMALL.hidden_size, 7)
-                    poisoned_run(session, program, tokens)       # builds
-                    results.append(poisoned_run(session, program, tokens))
-            finally:
-                session.close()
+            for lengths in SIGNATURES:
+                program = build_encoder_stack_program(
+                    lengths, LAYERS, SMALL, masked=masked)
+                tokens = packed_tokens(lengths, SMALL.hidden_size, 7)
+                poisoned_run(session, program, tokens)       # builds
+                results.append(poisoned_run(session, program, tokens))
         for lengths, got, want in zip(SIGNATURES, memoised, plain):
             assert np.array_equal(got, want), lengths
             tokens = packed_tokens(lengths, SMALL.hidden_size, 7)

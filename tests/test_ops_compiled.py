@@ -165,18 +165,26 @@ class TestAttentionCompiled:
         # qkt + mask + 4 softmax + attnv
         assert executor.vectorized_count == 7
 
-    def test_split_attnv_matches_plain(self):
+    @pytest.mark.parametrize("lengths", [(17, 3, 9, 1), (6, 6, 6), (11,)],
+                             ids=["skewed", "uniform", "one"])
+    @pytest.mark.parametrize("remap", [False, True])
+    @pytest.mark.parametrize("tile", [2, 4, 8, 16])
+    def test_split_attnv_matches_plain(self, tile, remap, lengths):
+        """Splitting the query rows (and remapping the governing loop)
+        reorders no arithmetic: every point is bit-identical to the
+        unsplit kernel."""
         from repro.ops.attention import attnv_split_compiled
 
-        qkv = self._qkv((5, 3, 4))
+        qkv = self._qkv(lengths)
         attn = qkt_slices(qkv["q"], qkv["k"], scale=0.5)
-        refs = attnv_slices(attn, qkv["v"])
-        for remap in (False, True):
-            executor = Executor(backend="vector")
-            out, _ = attnv_split_compiled(attn, qkv["v"], tile=2,
-                                          executor=executor, remap=remap)
-            assert _allclose_lists(out, refs)
-            assert executor.fallback_count == 0
+        plain, _ = attnv_compiled(attn, qkv["v"],
+                                  executor=Executor(backend="vector"))
+        assert _allclose_lists(plain, attnv_slices(attn, qkv["v"]))
+        executor = Executor(backend="vector")
+        out, _ = attnv_split_compiled(attn, qkv["v"], tile=tile,
+                                      executor=executor, remap=remap)
+        assert all(np.array_equal(a, b) for a, b in zip(out, plain))
+        assert executor.fallback_count == 0
 
     def test_split_attnv_scalar_and_vector_agree(self):
         from repro.ops.attention import attnv_split_compiled

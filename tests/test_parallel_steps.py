@@ -13,7 +13,7 @@ These tests pin:
 * **the gate**: serving-sized programs split nothing and create no helper
   thread, one usable core leaves every step the object it was;
 * **failure and lifetime**: a raising chunk waits for its siblings and its
-  exception propagates unchanged; the pool outlives ``Session.close()``.
+  exception propagates unchanged; the pool outlives every session.
 
 ``usable_cores`` is monkeypatched throughout: there is no public knob.
 """
@@ -127,7 +127,6 @@ class TestBitIdentity:
                     name != "fuse" and cores > 1) or sum(lengths) < 240, name
                 got = session.run(program, {"tokens": tokens})["out_tokens"]
                 assert np.array_equal(got, want), name
-                session.close()
 
     def test_twenty_runs_of_one_batch_are_identical(self, monkeypatch):
         lengths = [90, 41, 90, 17, 64, 64, 5]
@@ -385,8 +384,8 @@ class TestFailureAndLifetime:
         pools = set()
         for _ in range(2):
             session, _ = compiled_with(monkeypatch, 2, program)
-            with session:
-                session.run(program, {"tokens": tokens})
+            session.run(program, {"tokens": tokens})
+            del session
             pools.add(parallel._pool)
             helpers = [t for t in threading.enumerate()
                        if t.name.startswith("repro-par")]
@@ -415,8 +414,7 @@ class TestFailureAndLifetime:
                     lengths, [weights], config, masked=True, n_layers=1)
                 tokens = np.ones((sum(lengths), config.hidden_size),
                                  dtype=np.float32)
-                with Session() as session:
-                    session.run(program, {"tokens": tokens})
+                Session().run(program, {"tokens": tokens})
 
             small = TransformerConfig(
                 hidden_size=64, num_heads=4, head_size=16, ff_size=128,

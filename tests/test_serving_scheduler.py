@@ -19,6 +19,7 @@ from repro.core.session import Session
 from repro.models.config import TransformerConfig
 from repro.models.transformer import EncoderWeights
 from repro.serving import BatchScheduler, RequestQueue, bucketed_length
+from repro.serving.queue import raggedness_bucket
 
 SMALL = TransformerConfig(hidden_size=16, num_heads=2, head_size=8, ff_size=32,
                           num_layers=2, loop_pad=4, bulk_pad=8,
@@ -307,3 +308,18 @@ class TestRequestQueue:
             for n in range(1, 33):
                 assert (bucketed_length(bucketed_length(n, t1), t2)
                         == bucketed_length(n, t2))
+
+
+class TestRaggednessBucket:
+    def test_powers_of_two(self):
+        batch, max_len, total = raggedness_bucket((5, 3, 7, 2))
+        assert batch == 4 and max_len == 8 and total == 32
+        for v in (batch, max_len, total):
+            assert v & (v - 1) == 0
+
+    def test_nearby_signatures_share_a_bucket(self):
+        assert raggedness_bucket((5, 3, 7, 2)) \
+            == raggedness_bucket((6, 2, 8, 1))
+
+    def test_empty(self):
+        assert raggedness_bucket(()) == (0, 0, 0)

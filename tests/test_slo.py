@@ -15,7 +15,8 @@ Four families of guarantees are pinned down here:
   the starvation bound holds, and a faulty policy falls back to FIFO via
   the ``admission`` injection point;
 * the adaptive ``bucket_tolerance`` controller: bounded power-of-two
-  moves driven by window hit-rate/overhead, masked-only above 1;
+  moves driven by window hit-rate/overhead, held while one raggedness
+  bucket dominates the window, masked-only above 1;
 * a hypothesis property: goodput accounting matches the terminal-state
   census exactly-once under random fault schedules on simulated time.
 """
@@ -464,6 +465,57 @@ class TestAdaptiveTolerance:
         assert adaptive.replay_bit_identical(out)
         for a, b in zip(ids_a, ids_b):
             assert np.array_equal(ref[a], out[b])
+
+    def test_dominant_bucket_holds_tolerance(self):
+        controller = AdaptiveTolerance(max_tolerance=16)
+        # Low hit rate would widen...
+        assert controller.propose(2, hit_rate=0.1,
+                                  padding_overhead=0.0) == 4
+        # ...but a dominant bucket holds.
+        assert controller.propose(2, hit_rate=0.1, padding_overhead=0.0,
+                                  dominant_share=0.9) == 2
+        # Below the dominance threshold, widening proceeds.
+        assert controller.propose(2, hit_rate=0.1, padding_overhead=0.0,
+                                  dominant_share=0.5) == 4
+        # The padding budget is a hard constraint: narrow regardless.
+        assert controller.propose(4, hit_rate=0.1, padding_overhead=0.9,
+                                  dominant_share=0.9) == 2
+
+    def test_dominance_hold_validated(self):
+        with pytest.raises(ValueError, match="dominance_hold"):
+            AdaptiveTolerance(dominance_hold=1.5)
+
+    def test_scheduler_holds_while_one_bucket_dominates(self):
+        ctl = AdaptiveTolerance(interval=2, target_hit_rate=0.99,
+                                max_padding_overhead=10.0)
+        scheduler = _scheduler(bucket_tolerance=1, max_batch_size=2,
+                               adaptive_tolerance=ctl)
+        # Six distinct signatures (every lookup misses, which alone would
+        # widen), all in the raggedness bucket (2, 8, 16).
+        lengths = (5, 6, 7, 8, 5, 7, 6, 8, 5, 8, 6, 7)
+        scheduler.submit_many(_requests(lengths))
+        scheduler.drain()
+        assert scheduler.stats()["distinct_signatures"] == 6
+        assert len(ctl.trajectory) == 3
+        assert all(t["hit_rate"] == 0.0 and t["proposed"] == 1
+                   for t in ctl.trajectory)
+        assert scheduler.bucket_tolerance == 1
+
+    def test_type_error_inside_propose_propagates(self):
+        class Buggy(AdaptiveTolerance):
+            calls = 0
+
+            def propose(self, current, hit_rate, padding_overhead,
+                        dominant_share=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise TypeError("bug inside propose")
+                return current
+
+        scheduler = _scheduler(adaptive_tolerance=Buggy(interval=1))
+        scheduler.submit_many(_requests())
+        with pytest.raises(TypeError, match="bug inside propose"):
+            scheduler.drain()
 
 
 # ---------------------------------------------------------------------------

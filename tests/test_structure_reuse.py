@@ -276,7 +276,7 @@ class TestScheduleVariants:
                 assert not reused.slice_view(b)[-(-n // loop_pad)
                                                 * loop_pad:].any()
 
-    def test_loop_padding_and_the_tuned_split_tile_are_structure(self):
+    def test_loop_padding_and_the_split_tile_are_structure(self):
         """Flipping a schedule knob regenerates; other lengths under the
         same knob do not."""
         clear_structures()
@@ -293,8 +293,8 @@ class TestScheduleVariants:
         for lengths, tile in (([5, 3], 2), ([4, 6, 1], 2), ([4, 6, 1], 4),
                               ([7], 0)):
             executor = Executor()
-            executor.compile(attention._qkt_schedule(lengths, 2, 4, 0.5,
-                                                     tile=tile))
+            executor.compile(attention._attnv_schedule(lengths, 2, 4,
+                                                       tile=tile))
             generated.append(executor.structures_generated)
         assert generated == [1, 0, 1, 1]
 
@@ -532,7 +532,7 @@ class TestNothingIsKeyedByLengths:
 
         # ... while anything that is structure does regenerate: the mask
         # kernel of the masked model, every kernel under another head
-        # count (loop padding and the tuned split tile: see
+        # count (loop padding and the split tile: see
         # TestScheduleVariants).
         other_heads = TransformerConfig(
             hidden_size=32, num_heads=4, head_size=8, ff_size=64,
