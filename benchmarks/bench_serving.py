@@ -10,11 +10,14 @@ Three serving-scale claims of the program runtime are measured here:
   kernels, arena plan, prelude -- is reused instead of rebuilt; the
   steady-state (warm) drain shows the benefit.
 
-* **Structure reuse.**  A kernel is generated once per *structure*; a
-  never-seen raggedness signature only pays the prelude.  Draining 60
+* **Structure reuse.**  A kernel is generated once per *structure*, and
+  a program graph once per *program structure* (weights, configuration,
+  masking, depth, number of sequences); a never-seen raggedness
+  signature only binds that graph and pays the prelude.  Draining 60
   exact-length batches (50+ distinct signatures, several batch sizes)
-  from a cold process table generates the 7 kernels of the masked SDPA
-  chain once -- shared by both layers -- and nothing else.
+  from cold process tables generates the 7 kernels of the masked SDPA
+  chain once -- shared by both layers -- builds one program structure
+  per batch size, and binds every other signature.
 
 * **Arena savings vs stack depth.**  An N-layer encoder declared as one
   program lets the planner's liveness span every layer: layer k+1 reuses
@@ -25,8 +28,9 @@ Writes ``benchmarks/results/bench_serving.{txt,json}``.  With ``--smoke``
 a reduced problem runs and the headline claims are asserted: scheduler
 outputs bit-identical to direct ``Session.run`` over the same batch rows,
 at least one signature-cache hit, no more kernels generated than there
-are structures, stacked arena strictly below the sum of per-layer plans,
-zero vector-backend fallbacks.
+are structures, no more program structures built than batch sizes
+drained, stacked arena strictly below the sum of per-layer plans, zero
+vector-backend fallbacks.
 """
 
 from __future__ import annotations
@@ -69,11 +73,18 @@ def structure_reuse(config: TransformerConfig, n_layers: int) -> dict:
     session = Session(executor=Executor(backend="vector"))
     scheduler = BatchScheduler(
         EncoderWeights.random(config, seed=1), config, session=session,
-        masked=True, n_layers=n_layers, max_batch_size=4, bucket_tolerance=1)
+        masked=True, n_layers=n_layers, max_batch_size=4, bucket_tolerance=1,
+        log_batches=True)
     scheduler.submit_many(_request_stream(238, config, seed=3))
     scheduler.drain()
-    codegen = session.stats()["codegen"]
+    stats = session.stats()
+    codegen = stats["codegen"]
     return {"distinct_signatures": scheduler.stats()["distinct_signatures"],
+            "batch_sizes": len({len(b.requests)
+                                for b in scheduler.batch_log}),
+            "program_compiles": stats["program_compiles"],
+            "structure_builds": stats["structure_builds"],
+            "binds": stats["binds"],
             **{key: codegen[key] for key in (
                 "structures_generated", "structure_hits", "prelude_builds",
                 "lower_count", "fallbacks")}}
@@ -163,7 +174,11 @@ def run_benchmark(smoke: bool = False) -> dict:
     rows.append(f"structure reuse: {reuse['distinct_signatures']} distinct "
                 f"signatures -> {reuse['prelude_builds']} kernel instances, "
                 f"{reuse['structures_generated']} kernels generated "
-                f"({reuse['structure_hits']} structure hits)")
+                f"({reuse['structure_hits']} structure hits); "
+                f"{reuse['program_compiles']} program compiles -> "
+                f"{reuse['binds']} binds, {reuse['structure_builds']} "
+                f"program structures built for {reuse['batch_sizes']} "
+                "batch sizes")
 
     rows.append("")
     stack_widths = [8, 12, 16, 14, 12]
@@ -214,6 +229,12 @@ def main(argv=None) -> int:
             f"{reuse['structures_generated']} kernels generated for "
             f"{MASKED_LAYER_STRUCTURES} structures: something is keyed by "
             "the lengths")
+        assert reuse["structure_builds"] <= reuse["batch_sizes"], (
+            f"{reuse['structure_builds']} program structures built for "
+            f"{reuse['batch_sizes']} batch sizes: a graph is built per "
+            "signature")
+        assert reuse["binds"] + reuse["structure_builds"] \
+            == reuse["program_compiles"], reuse
         assert reuse["fallbacks"] == 0, reuse
         for depth in STACK_DEPTHS[1:]:
             report = payload["stack_arena"][str(depth)]
@@ -222,8 +243,12 @@ def main(argv=None) -> int:
                 "per-layer plans")
         print("smoke checks passed: bit-identical demux, monotone "
               "signature reuse, >=1 cache hit, kernels generated <= "
-              "structures, stacked arena < sum of per-layer plans, zero "
-              "fallbacks")
+              "structures, program structures built <= batch sizes, "
+              "stacked arena < sum of per-layer plans, zero fallbacks")
+        print(f"structure reuse: {reuse['binds']} binds vs "
+              f"{reuse['structure_builds']} program structure builds "
+              f"({reuse['distinct_signatures']} signatures, "
+              f"{reuse['batch_sizes']} batch sizes)")
     return 0
 
 

@@ -161,10 +161,32 @@ def kernel_structure(key: object) -> KernelStructure:
         return entry
 
 
+#: The process-wide program-structure table (see
+#: :class:`~repro.core.program.ProgramStructure`): length-free, by a key
+#: of weights identities, model configuration, sequence count and plan
+#: mode.  Bounded; its entries pin their weights but hold no arena.
+_PROGRAMS: "LRUDict[object, object]" = LRUDict(64)
+
+
+def program_structure(key: object, build: Callable[[], object],
+                      ) -> Tuple[object, bool]:
+    """The table's entry for program structure ``key``, and whether it
+    was built by this call (``build()`` when it was not there)."""
+    with _STRUCTURES_LOCK:
+        entry = _PROGRAMS.get(key)
+        if entry is None:
+            entry = build()
+            _PROGRAMS.put(key, entry)
+            return entry, True
+        return entry, False
+
+
 def clear_structures() -> None:
-    """Forget every compiled structure (tests; a cold process)."""
+    """Forget every compiled kernel and program structure (tests; a
+    cold process)."""
     with _STRUCTURES_LOCK:
         _STRUCTURES.clear()
+        _PROGRAMS.clear()
 
 
 class CodeGenerator:

@@ -329,17 +329,24 @@ def _resolve(ref: Tuple, kernels: Sequence[LoweredKernel]) -> np.ndarray:
     return np.diff(np.concatenate([row, [total]]))
 
 
+def _extent_of(ref: Tuple, kernels: Sequence[LoweredKernel]):
+    """The extent a table reference was materialised from, if known."""
+    kind = ref[1]
+    if kind == "shape":
+        return kernels[ref[0]].extents.get(ref[2:])
+    if kind == "bound" and ref[3] == 1:
+        return kernels[ref[0]].extents.get(ref[2])
+    return None
+
+
 def _same_extent(a: Tuple, b: Tuple,
                  kernels: Sequence[LoweredKernel]) -> bool:
     """Whether two table references are known to agree without looking:
     both were materialised from one extent (the same length function
     under the same padding)."""
-    ea, eb = (
-        kernels[member].extents.get(
-            args[0] if kind == "bound" and args[1] == 1
-            else tuple(args) if kind == "shape" else None)
-        for member, kind, *args in (a, b))
-    if ea is None or eb is None:
+    ea = _extent_of(a, kernels)
+    eb = _extent_of(b, kernels) if ea is not None else None
+    if eb is None:
         return False
     return ea is eb or (
         isinstance(ea, PaddedExtent) and isinstance(eb, PaddedExtent)
@@ -374,17 +381,16 @@ def decisions_hold(decisions: Tuple,
     """Whether an instance repeats every recorded emitter decision -- i.e.
     whether the kernel generated under them computes this instance too."""
     tables: Dict[Tuple, np.ndarray] = {}
-
-    def table(ref: Tuple) -> np.ndarray:
-        if ref not in tables:
-            tables[ref] = _resolve(ref, kernels)
-        return tables[ref]
-
-    return all(
-        (outcome is True and kind in ("fit", "same")
-         and _same_extent(a, b, kernels))
-        or _OUTCOMES[kind](table(a), table(b)) == outcome
-        for (kind, a, b), outcome in decisions)
+    for (kind, a, b), outcome in decisions:
+        if outcome is True and kind in ("fit", "same") \
+                and _same_extent(a, b, kernels):
+            continue
+        for ref in (a, b):
+            if ref not in tables:
+                tables[ref] = _resolve(ref, kernels)
+        if _OUTCOMES[kind](tables[a], tables[b]) != outcome:
+            return False
+    return True
 
 
 def bind_prelude(generated: GeneratedKernel,

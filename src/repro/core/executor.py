@@ -60,11 +60,17 @@ from repro.core.codegen_vector import (
     generate_fused_kernel,
 )
 from repro.core.errors import ExecutionError
+from repro.core.extents import ExtentMap
 from repro.core.ir import count_flops, reductions_in
 from repro.core.lowering import LoweredKernel, lower_schedule
 from repro.core.ragged_tensor import RaggedTensor
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
+
+
+#: The fingerprint of a schedule without one (callable-backed extents
+#: or remap policies): its kernel is generated per instance.
+UNCACHEABLE = object()
 
 
 @dataclass
@@ -459,8 +465,16 @@ class Executor:
         self,
         schedule: Schedule,
         input_layouts: Optional[Dict[str, RaggedLayout]] = None,
+        fingerprint: object = None,
+        extents: Optional[ExtentMap] = None,
     ) -> CompiledKernel:
         """Lower and generate code for a scheduled operator (cached).
+
+        ``fingerprint`` is the schedule's structure fingerprint when the
+        caller knows it already (a program structure remembers each
+        kernel node's), else it is computed.  ``extents`` instantiates
+        the schedule for another mini-batch than its own (a program bound
+        from a structure shares the template's schedules).
 
         Thread-safe: cache lookups, compile-counter updates and the
         lower+generate pass itself are serialised under the executor's
@@ -469,34 +483,49 @@ class Executor:
         """
         with self._lock:
             if not self.cache_enabled:
-                return self._instantiate(schedule, input_layouts)
-            key = (self.backend.name,
-                   schedule_signature(schedule, input_layouts))
+                return self._instantiate(schedule, input_layouts,
+                                         fingerprint, extents)
+            # A schedule instantiated through an extent map belongs to a
+            # program structure, which never changes its schedules: its
+            # identity is its signature.
+            key = (self.backend.name, id(extents),
+                   schedule_signature(schedule, input_layouts)
+                   if extents is None else (id(schedule), id(input_layouts)))
             entry = self._kernel_cache.get(key)
             if entry is not None:
                 self.cache_hits += 1
                 return entry[0]
             self.cache_misses += 1
-            compiled = self._instantiate(schedule, input_layouts)
-            self._kernel_cache.put(key, (compiled, schedule, input_layouts))
+            compiled = self._instantiate(schedule, input_layouts,
+                                         fingerprint, extents)
+            self._kernel_cache.put(key, (compiled, schedule,
+                                         (input_layouts, extents)))
             return compiled
 
     def _instantiate(
         self,
         schedule: Schedule,
         input_layouts: Optional[Dict[str, RaggedLayout]] = None,
+        fingerprint: object = None,
+        extents: Optional[ExtentMap] = None,
     ) -> CompiledKernel:
         """Build one kernel instance: lower its tables (for a known
         structure, only the prelude part of lowering runs) and bind them
-        to the kernel of its structure."""
-        try:
-            key = (self.backend.name,
-                   stable_schedule_fingerprint(schedule, input_layouts))
-        except Uncacheable:
-            key = None
+        to the kernel of its structure.  ``fingerprint`` and ``extents``:
+        see :meth:`compile` (:data:`UNCACHEABLE` for a schedule that has
+        no fingerprint)."""
+        if fingerprint is None:
+            try:
+                fingerprint = stable_schedule_fingerprint(schedule,
+                                                          input_layouts)
+            except Uncacheable:
+                fingerprint = UNCACHEABLE
+        key = None if fingerprint is UNCACHEABLE \
+            else (self.backend.name, fingerprint)
         entry = kernel_structure(key) if key is not None else None
         lowered = lower_schedule(schedule, input_layouts=input_layouts,
-                                 like=entry and entry.lowered)
+                                 like=entry and entry.lowered,
+                                 extents=extents)
         if entry is not None and entry.lowered is None:
             # (Unlocked: racing executors store equally good loop nests.)
             entry.lowered = lowered
@@ -585,7 +614,8 @@ class Executor:
             parts.append((sig, bindings, keys[m.outputs[0]]))
         return ("fused", self.backend.name, tuple(parts))
 
-    def compile_fused(self, node) -> CompiledFusedKernel:
+    def compile_fused(self, node, extents: Optional[ExtentMap] = None,
+                      ) -> CompiledFusedKernel:
         """Compile a :class:`~repro.core.fusion.FusedKernelNode` (cached).
 
         Members compile through :meth:`compile` (hitting the LRU and the
@@ -596,22 +626,24 @@ class Executor:
         like a kernel's, by every region of the same structure that
         repeats the emitter's decisions.  Neither path performs any
         extra lowering, so fused compilation never increments
-        ``lower_count`` beyond its members.
+        ``lower_count`` beyond its members.  ``extents``: see
+        :meth:`compile`.
         """
         with self._lock:
-            key = self._fused_key(node)
+            key = (self._fused_key(node), id(extents))
             if self.cache_enabled:
                 entry = self._fused_cache.get(key)
                 if entry is not None:
                     self.fused_cache_hits += 1
                     return entry[0]
-            compiled = self._compile_fused_uncached(node)
+            compiled = self._compile_fused_uncached(node, extents)
             if self.cache_enabled:
-                self._fused_cache.put(key, (compiled, node))
+                self._fused_cache.put(key, (compiled, node, extents))
             return compiled
 
-    def _compile_fused_uncached(self, node) -> CompiledFusedKernel:
-        members = [self.compile(m.schedule, input_layouts=m.input_layouts)
+    def _compile_fused_uncached(self, node, extents: Optional[ExtentMap],
+                                ) -> CompiledFusedKernel:
+        members = [self.compile(m.schedule, m.input_layouts, extents=extents)
                    for m in node.members]
         internal = {s.name for s in node.internal_specs}
         keys = self._fused_value_keys(node)

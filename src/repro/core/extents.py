@@ -241,6 +241,27 @@ class PaddedExtent(Extent):
         return f"PaddedExtent({self.base!r}, multiple={self.multiple})"
 
 
+class ExtentMap:
+    """Stands one mini-batch's length functions in for another's.
+
+    A schedule declared over one batch is lowered for another batch of
+    the same structure by reading every extent through the map: a
+    length function of the first batch (bare or padded) becomes the
+    matching one of the second, anything else stays.  The replaced
+    extents are kept alive, so the identities the map is keyed by stay
+    unique."""
+
+    def __init__(self, pairs: Sequence[tuple]):
+        self._pairs = tuple(pairs)
+        self._map = {id(old): new for old, new in self._pairs}
+
+    def __call__(self, ext: Extent) -> Extent:
+        if isinstance(ext, PaddedExtent):
+            base = self._map.get(id(ext.base))
+            return ext if base is None else PaddedExtent(base, ext.multiple)
+        return self._map.get(id(ext), ext)
+
+
 def as_extent(value: Union[int, Extent]) -> Extent:
     """Coerce an int into a :class:`ConstExtent`, passing extents through."""
     if isinstance(value, Extent):

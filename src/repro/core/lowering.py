@@ -15,14 +15,14 @@ mirroring how CoRa's generated code indexes prelude-built arrays at run time
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.dims import Dim, FusedDim
 from repro.core.errors import LoweringError
-from repro.core.extents import ConstExtent, Extent, PaddedExtent, VarExtent, ceil_to
+from repro.core.extents import ConstExtent, Extent, ExtentMap, PaddedExtent, VarExtent, ceil_to
 from repro.core.ir import (
     Annotation,
     Expr,
@@ -215,11 +215,14 @@ class _Prelude:
     """
 
     def __init__(self, schedule: Schedule,
-                 input_layouts: Optional[Dict[str, RaggedLayout]]):
+                 input_layouts: Optional[Dict[str, RaggedLayout]],
+                 extents: Optional[ExtentMap] = None):
         self.schedule = schedule
         self.op = schedule.operator
         self.gov_count = _governing_extent_of(self.op)
         self.input_layouts = input_layouts or {}
+        #: the instance's extent for each of the schedule's
+        self.ext: Callable[[Extent], Extent] = extents or (lambda e: e)
         self.aux: Dict[str, np.ndarray] = {}
         self.extents: Dict[object, Extent] = {}
         #: tensor name (``None``: the output) -> its storage layout
@@ -241,7 +244,7 @@ class _Prelude:
 
     def loop_extent(self, i: int) -> Extent:
         """The loop-padded extent of the operator's ``i``-th loop."""
-        return self.op.loop_extents[i].padded(
+        return self.ext(self.op.loop_extents[i]).padded(
             self.schedule.loop_padding.get(self.op.dims[i], 1))
 
     def axis_extent(self, k: int) -> Extent:
@@ -249,7 +252,15 @@ class _Prelude:
         if self._axes is None:
             self._axes = [axis for red in reductions_in(self.op.body)
                           for axis in red.axes]
-        return self._axes[k].extent
+        return self.ext(self._axes[k].extent)
+
+
+def clone(obj: Any, **changes: Any) -> Any:
+    """``dataclasses.replace`` for plain dataclasses, without re-running
+    ``__init__`` (a shallow copy with ``changes`` applied)."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **changes)
+    return new
 
 
 def _rebind(like: "LoweredKernel", prelude: _Prelude) -> "LoweredKernel":
@@ -260,22 +271,22 @@ def _rebind(like: "LoweredKernel", prelude: _Prelude) -> "LoweredKernel":
 
     def counted(bound: BoundSpec) -> BoundSpec:
         """A bound that counts instances, at this instance's count."""
-        return replace(bound, value=int(aux[bound.table_name]))
+        return clone(bound, value=int(aux[bound.table_name]))
 
     loops = list(like.loops)
     for k, loop in enumerate(loops):
         if loop.bound.is_const and loop.bound.table_name:
-            loops[k] = loop = replace(loop, bound=counted(loop.bound))
+            loops[k] = loop = clone(loop, bound=counted(loop.bound))
         guard = loop.guard
         if guard and guard.bound.is_const and guard.bound.table_name:
-            loops[k] = replace(loop, guard=replace(
+            loops[k] = clone(loop, guard=clone(
                 guard, bound=counted(guard.bound)))
 
     def over(plan: TensorPlan, layout: RaggedLayout) -> TensorPlan:
         return TensorPlan(plan.spec, layout, plan.row_name, plan.stride_name,
                           plan.shape_name, plan.dense_strides)
 
-    return replace(
+    return clone(
         like, loops=loops, aux_arrays=aux, extents=prelude.extents,
         output_plan=over(like.output_plan, layouts[None]),
         input_plans={name: over(plan, layouts[name])
@@ -291,6 +302,7 @@ def lower_schedule(
     schedule: Schedule,
     input_layouts: Optional[Dict[str, RaggedLayout]] = None,
     like: Optional[LoweredKernel] = None,
+    extents: Optional[ExtentMap] = None,
 ) -> LoweredKernel:
     """Lower a scheduled operator into a :class:`LoweredKernel`.
 
@@ -307,8 +319,11 @@ def lower_schedule(
         (same operator, schedule state and layout kinds; other lengths):
         only the prelude part of lowering runs, and the result shares
         ``like``'s loop nest.
+    extents:
+        Lower the schedule for another mini-batch than the one it was
+        declared over: every extent is read through this map.
     """
-    p = _Prelude(schedule, input_layouts)
+    p = _Prelude(schedule, input_layouts, extents)
     if like is not None:
         return _rebind(like, p)
     op = schedule.operator
@@ -475,7 +490,7 @@ def lower_schedule(
             workloads = np.ones(n, dtype=np.int64)
             for i in governed:
                 workloads = workloads * materialise_extent(
-                    p.op.loop_extents[i], p.gov_count)[1]
+                    p.ext(p.op.loop_extents[i]), p.gov_count)[1]
             p.aux[name] = p.schedule.remaps[k].permutation(workloads)
 
         run(permutation)
@@ -529,7 +544,7 @@ def lower_schedule(
         fused_dims = (position[outer_d], position[inner_d])
 
     def output_layout(p: _Prelude) -> RaggedLayout:
-        layout = RaggedLayout(p.op.dims, p.op.storage_extents,
+        layout = RaggedLayout(p.op.dims, [p.ext(e) for e in p.op.storage_extents],
                               storage_padding=dict(p.schedule.storage_padding))
         if fused_dims is not None:
             layout = layout.fuse_dims(p.op.dims[fused_dims[0]],
@@ -544,7 +559,7 @@ def lower_schedule(
             layout = p.input_layouts.get(spec.name)
             if layout is None:
                 layout = RaggedLayout(
-                    spec.dims, spec.extents,
+                    spec.dims, [p.ext(e) for e in spec.extents],
                     storage_padding=p.schedule.input_storage_padding.get(
                         spec.name))
             return layout

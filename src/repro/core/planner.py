@@ -337,8 +337,15 @@ def plan_program(program: Program, itemsize: int = 4,
     ``order`` / liveness then describes the
     *fused* program, available as ``plan.fused_program``; callers keep
     addressing the original program.
+
+    A program bound from a :class:`~repro.core.program.ProgramStructure`
+    takes the order and liveness of its structure (computed by the first
+    plan of each mode); only value sizes and slab packing are its own.
     """
-    program.validate()
+    structure = program.structure
+    topology = structure.topology.get(fuse) if structure else None
+    if topology is None:
+        program.validate()
     fused_program = None
     fusion = None
     if fuse:
@@ -347,8 +354,12 @@ def plan_program(program: Program, itemsize: int = 4,
         fused_program, fusion = fuse_program(program)
         if fused_program is not None:
             program = fused_program
-    order = topological_order(program)
-    liveness = compute_liveness(program, order)
+    if topology is None:
+        order = topological_order(program)
+        topology = order, compute_liveness(program, order)
+        if structure is not None:
+            structure.topology[fuse] = topology
+    order, liveness = topology
 
     value_elements = {
         v.name: v.num_elements for v in program.intermediates()

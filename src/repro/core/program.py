@@ -25,11 +25,14 @@ of time and replays it with a single flat dispatch loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.errors import CoraError
+from repro.core.extents import ExtentMap, VarExtent
+from repro.core.ir import reductions_in
+from repro.core.lowering import clone
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
 
@@ -155,21 +158,32 @@ _PROGRAM_UIDS = iter(range(1, 1 << 62))
 
 
 class Program:
-    """A ragged program graph, built once per raggedness signature.
+    """A ragged program graph for one raggedness signature.
 
     Nodes are appended in execution (hence topological) order through
     :meth:`add_kernel` / :meth:`add_host`; values are declared through
     :meth:`add_input` / :meth:`add_constant` or implicitly as node
     outputs.  :meth:`mark_output` selects the values ``Session.run``
     returns.
+
+    A program declared over one length function ``seq`` (the batch's
+    ``s(b)``, a table-backed :class:`~repro.core.extents.VarExtent`) can
+    become the template of a :class:`ProgramStructure`, which binds the
+    same graph to other lengths; ``structure`` is set on the template and
+    on every program bound from it.
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, seq: Optional[VarExtent] = None):
         self.name = name
         self.uid = next(_PROGRAM_UIDS)
         self.values: Dict[str, ValueSpec] = {}
         self.nodes: List[ProgramNode] = []
         self.outputs: List[str] = []
+        self.seq = seq
+        self.structure: Optional["ProgramStructure"] = None
+        #: bound from a structure: the template's length function -> this
+        #: program's (its kernel nodes are the template's)
+        self.extents: Optional[ExtentMap] = None
 
     # -- value declaration ---------------------------------------------------
 
@@ -356,3 +370,98 @@ class Program:
     def __repr__(self) -> str:
         return (f"Program({self.name!r}, nodes={len(self.nodes)}, "
                 f"values={len(self.values)}, outputs={self.outputs})")
+
+
+class ProgramStructure:
+    """What every raggedness signature of one program shares.
+
+    The graph of the ``template`` program -- its nodes, value names and
+    edges; kernel schedules and ragged layouts whose only length function
+    is the template's ``seq``, and host functions that read lengths from
+    the tensors they are handed -- plus, filled in by the first compile of
+    each plan mode, the planned order and liveness and each kernel's
+    structure fingerprint.  Nothing here is sized by the lengths:
+    :meth:`bind` gives another signature of the same number of sequences
+    its own layouts and value sizes over the shared nodes, and compiling
+    that program pays only its prelude, value sizes, slab packing and
+    step wiring.  Dense values other than constants must be packed token
+    matrices (leading dimension = the token count).
+    """
+
+    def __init__(self, template: Program, pinned: Any = None):
+        seq = template.seq
+        if seq is None or seq.table is None:
+            raise ProgramError(
+                f"program {template.name!r} was not declared over a length "
+                "table; it has no structure to bind")
+        template.validate()
+        tokens = int(seq.table.sum())
+
+        def own(extents, what: str) -> None:
+            for ext in extents:
+                if ext.deps and getattr(ext, "base", ext) is not seq:
+                    raise ProgramError(
+                        f"{what} has a length function other than its "
+                        "program's: it cannot be bound to other lengths")
+
+        for spec in template.values.values():
+            if spec.role == ROLE_CONSTANT:
+                continue
+            if spec.layout is not None:
+                if not spec.layout.is_ragged:
+                    raise ProgramError(
+                        f"value {spec.name!r} has a dense layout")
+                own(spec.layout.base_extents, f"value {spec.name!r}")
+            elif not spec.shape or spec.shape[0] != tokens:
+                raise ProgramError(
+                    f"value {spec.name!r} of shape {spec.shape} is not a "
+                    f"packed token matrix ({tokens} rows)")
+        for node in template.kernel_nodes:
+            if node.input_layouts:
+                raise ProgramError(
+                    f"kernel node {node.name!r} overrides its input layouts:"
+                    " its program cannot be bound to other lengths")
+            op = node.schedule.operator
+            own((*op.loop_extents, *op.storage_extents,
+                 *(e for t in op.inputs for e in t.extents),
+                 *(axis.extent for red in reductions_in(op.body)
+                   for axis in red.axes)), f"kernel node {node.name!r}")
+        self.template = template
+        #: objects the structure's key names by identity (weights)
+        self.pinned = pinned
+        #: plan mode (``fuse``) -> (order, liveness) of the planned graph
+        self.topology: Dict[bool, Tuple[List[int],
+                                        Dict[str, Tuple[int, int]]]] = {}
+        #: id of a kernel node -> its schedule's structure fingerprint
+        self.fingerprints: Dict[int, Any] = {}
+        template.structure = self
+
+    def bind(self, lengths: Sequence[int], name: str) -> Program:
+        """The template's graph over ``lengths``."""
+        old = self.template.seq
+        seq = VarExtent(old.dep, lengths)
+        if seq.table.size != old.table.size:
+            raise ProgramError(
+                f"a structure of {old.table.size} sequences cannot bind "
+                f"{seq.table.size}")
+        program = Program(name, seq=seq)
+        program.structure = self
+        program.extents = extents = ExtentMap([(old, seq)])
+        rows = (int(seq.table.sum()),)
+        layouts: Dict[int, RaggedLayout] = {}
+        for vname, spec in self.template.values.items():
+            if spec.role != ROLE_CONSTANT:
+                spec = clone(spec)
+                if spec.layout is not None:
+                    was = spec.layout
+                    spec.layout = layouts.get(id(was))
+                    if spec.layout is None:
+                        spec.layout = layouts[id(was)] = RaggedLayout(
+                            was.dims, [extents(e) for e in was.base_extents],
+                            was.storage_padding)
+                else:
+                    spec.shape = rows + spec.shape[1:]
+            program.values[vname] = spec
+        program.nodes = list(self.template.nodes)
+        program.outputs = list(self.template.outputs)
+        return program

@@ -36,6 +36,7 @@ import numpy as np
 from repro.core import parallel
 from repro.core.aotcache import AOTCache
 from repro.core.cache import LRUDict
+from repro.core.codegen import program_structure
 from repro.core.engine import (
     ExecutionEngine,
     HOST_STEP,
@@ -43,6 +44,7 @@ from repro.core.engine import (
     get_engine,
 )
 from repro.core.executor import (
+    UNCACHEABLE,
     CompiledFusedKernel,
     CompiledKernel,
     Executor,
@@ -55,6 +57,7 @@ from repro.core.program import (
     KernelNode,
     Program,
     ProgramError,
+    ProgramStructure,
     ROLE_CONSTANT,
     ROLE_INPUT,
 )
@@ -67,6 +70,11 @@ _HOST_STEP = HOST_STEP
 
 #: The engine used when ``CompiledProgram.run`` is called without one.
 _FALLBACK_ENGINE = ExecutionEngine()
+
+
+def _fingerprint(compiled: CompiledKernel) -> object:
+    """The structure fingerprint a kernel instance was compiled under."""
+    return UNCACHEABLE if compiled.structure is None else compiled.structure[1]
 
 
 class CompiledProgram:
@@ -85,7 +93,6 @@ class CompiledProgram:
                  slab_buffers: Optional[Callable[
                      [Sequence[int]], Sequence[np.ndarray]]] = None,
                  run_lock: Optional[Any] = None):
-        program.validate()
         self.program = program
         self.executor = executor
         self.fuse = bool(fuse)
@@ -106,15 +113,27 @@ class CompiledProgram:
         # 2. Lower + codegen every kernel node (shared executor cache);
         #    fused regions compile through ``executor.compile_fused``
         #    (one emitted vector kernel, or a bit-identical grouped
-        #    dispatch when a member resists vector emission).
+        #    dispatch when a member resists vector emission).  A program
+        #    bound from a structure hands each kernel its structure
+        #    fingerprint, recorded by the structure's first compile.
         self.kernels: Dict[int, CompiledKernel] = {}
         self.fused_kernels: Dict[int, CompiledFusedKernel] = {}
         #: value name -> compiled output layout, for ragged wrapping.
         self._kernel_layouts: Dict[str, Any] = {}
+        known = program.structure.fingerprints \
+            if program.structure is not None else {}
+        #: (schedule, input layouts) -> their instance (every layer's
+        #: nodes share theirs)
+        instances: Dict[Tuple[int, int], CompiledKernel] = {}
         for idx, node in enumerate(work.nodes):
             if isinstance(node, KernelNode):
-                compiled = executor.compile(node.schedule,
-                                            input_layouts=node.input_layouts)
+                same = (id(node.schedule), id(node.input_layouts))
+                compiled = instances.get(same)
+                if compiled is None:
+                    compiled = instances[same] = executor.compile(
+                        node.schedule, node.input_layouts,
+                        known.get(id(node)), program.extents)
+                    known[id(node)] = _fingerprint(compiled)
                 expected = set(compiled.lowered.input_plans)
                 bound = set(node.bindings)
                 if expected != bound:
@@ -132,7 +151,8 @@ class CompiledProgram:
                 self.kernels[idx] = compiled
                 self._kernel_layouts[out_name] = compiled.output_layout
             elif isinstance(node, FusedKernelNode):
-                fused_compiled = executor.compile_fused(node)
+                fused_compiled = executor.compile_fused(node,
+                                                        program.extents)
                 self.fused_kernels[idx] = fused_compiled
                 for vname, layout in fused_compiled.output_layouts().items():
                     if vname not in work.values:
@@ -159,32 +179,29 @@ class CompiledProgram:
         else:
             self._slabs = [buf[:n] for buf, n in
                            zip(slab_buffers(sizes), sizes)]
+        # Flat buffers, and the materialised wrappers handed to host
+        # functions / returned as outputs: RaggedTensor for ragged
+        # values, shaped views for dense.
         flat: Dict[str, np.ndarray] = {}
+        wrapped: Dict[str, Any] = {}
+        slab_of, elements = self.plan.slab_of, self.plan.value_elements
         for name, spec in work.values.items():
             if spec.role == ROLE_CONSTANT:
-                flat[name] = np.ascontiguousarray(
+                buf = np.ascontiguousarray(
                     spec.array, dtype=spec.dtype).reshape(-1)
             elif spec.role == ROLE_INPUT:
-                flat[name] = np.zeros(spec.num_elements, dtype=spec.dtype)
+                buf = np.zeros(spec.num_elements, dtype=spec.dtype)
             else:
                 if np.dtype(spec.dtype) != np.float32:
                     raise ProgramError(
                         f"arena values must be float32, got {spec.dtype} "
                         f"for {name!r}")
-                slab = self._slabs[self.plan.slab_of[name]]
-                flat[name] = slab[:self.plan.value_elements[name]]
+                buf = self._slabs[slab_of[name]][:elements[name]]
+            flat[name] = buf
+            wrapped[name] = buf.reshape(spec.shape) if spec.layout is None \
+                else RaggedTensor(self._kernel_layouts.get(name, spec.layout),
+                                  buf, dtype=np.float32)
         self._flat = flat
-
-        # Materialised wrappers handed to host functions / returned as
-        # outputs: RaggedTensor for ragged values, shaped views for dense.
-        wrapped: Dict[str, Any] = {}
-        for name, spec in work.values.items():
-            if spec.is_ragged:
-                layout = self._kernel_layouts.get(name, spec.layout)
-                wrapped[name] = RaggedTensor(layout, flat[name],
-                                             dtype=np.float32)
-            else:
-                wrapped[name] = flat[name].reshape(spec.shape)
         self._wrapped = wrapped
 
         # 4. Pre-resolve every dispatch step.  A row-wise host node or a
@@ -229,8 +246,8 @@ class CompiledProgram:
                     (_HOST_STEP, self._fused_host_closure(node, flat, wrapped),
                      (), None, None))
             else:
-                args = tuple(wrapped[o] for o in node.outputs)
-                args += tuple(wrapped[i] for i in node.inputs)
+                args = tuple(map(wrapped.__getitem__,
+                                 node.outputs + node.inputs))
                 prezero = (None if node.fills_output
                            else tuple(flat[o] for o in node.outputs))
                 fn = (parallel.split_rows(node, args, work.values, cores)
@@ -295,9 +312,13 @@ class CompiledProgram:
 
     @property
     def flops(self) -> int:
-        """Analytically counted FLOPs of all kernel nodes per execution."""
+        """Analytically counted FLOPs per execution: every kernel node's,
+        plus each host node's declared ``row_flops`` over its rows."""
+        values = self.program.values
         return int(sum(k.flops for k in self.kernels.values())
-                   + sum(k.flops for k in self.fused_kernels.values()))
+                   + sum(k.flops for k in self.fused_kernels.values())
+                   + sum(n.row_flops * values[n.outputs[0]].shape[0]
+                         for n in self.program.host_nodes if n.row_flops))
 
     @property
     def arena_bytes(self) -> int:
@@ -484,6 +505,10 @@ class Session:
         self.cold_compiles = 0
         self.prelude_only_compiles = 0
         self.disk_hit_compiles = 0
+        #: program structures this session built into the process-wide
+        #: table, and compiles that bound a structure built earlier
+        self.structure_builds = 0
+        self.binds = 0
         self.run_count = 0
         #: per-raggedness-signature compiled-program hit/miss counters,
         #: recorded when callers tag ``compile`` / ``run`` with a
@@ -555,8 +580,34 @@ class Session:
             self.disk_hit_compiles += 1
         if signature is not None:
             self._note_signature(signature, hit=aot_warm)
+        structure = program.structure
+        if structure is not None and program is not structure.template:
+            self.binds += 1
         self._programs.put(program.uid, (compiled, program))
         return compiled
+
+    def bind(self, key: Tuple, lengths: Sequence[int],
+             build: Callable[[], Program], name: str,
+             pinned: Any = None) -> Program:
+        """The program of structure ``key`` over ``lengths``.
+
+        ``key`` names everything the graph depends on but the lengths
+        (weights identities -- ``pinned`` keeps those objects alive --,
+        configuration, sequence count); the session's backend and plan
+        mode are added to it.  A structure the process-wide table
+        (:func:`~repro.core.codegen.program_structure`) lacks is declared
+        by ``build()`` -- a program over ``lengths``, which is returned as
+        is -- and kept; any later signature of it gets the same graph
+        bound to its own lengths
+        (:meth:`~repro.core.program.ProgramStructure.bind`).
+        """
+        structure, built = program_structure(
+            (*key, self.backend, self.inplace, self.fuse),
+            lambda: ProgramStructure(build(), pinned))
+        if built:
+            self.structure_builds += 1
+            return structure.template
+        return structure.bind(lengths, name)
 
     def _arena_slabs(self, sizes: Sequence[int]) -> List[np.ndarray]:
         """Slab buffers for a program needing ``sizes`` elements per slab,
@@ -699,6 +750,8 @@ class Session:
         self.cold_compiles = 0
         self.prelude_only_compiles = 0
         self.disk_hit_compiles = 0
+        self.structure_builds = 0
+        self.binds = 0
         self.run_count = 0
         self.signature_stats.clear()
         self._signature_totals["hits"] = 0
@@ -719,6 +772,8 @@ class Session:
             "cold_compiles": self.cold_compiles,
             "prelude_only_compiles": self.prelude_only_compiles,
             "disk_hits": self.disk_hit_compiles,
+            "structure_builds": self.structure_builds,
+            "binds": self.binds,
             "runs": self.run_count,
             "cached_programs": len(self._programs),
             "prelude_memo": dict(self.prelude_memo_stats),

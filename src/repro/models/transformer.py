@@ -63,7 +63,7 @@ from repro.ops.projection import (
     projection_launch,
     unpack_tokens,
 )
-from repro.ops.softmax import RaggedBatch, softmax_launch
+from repro.ops.softmax import RaggedBatch, _mask_width, softmax_launch
 from repro.substrates.costmodel import KernelLaunch, Workload
 
 
@@ -568,16 +568,22 @@ def build_encoder_program(
     treat them as immutable for the program's lifetime.
     """
     lengths = [int(n) for n in lengths]
-    total = sum(lengths)
-
-    program = Program(
-        f"encoder[{'masked' if masked else 'unmasked'}]"
-        f"b{len(lengths)}t{total}")
-    tokens = program.add_input("tokens", shape=(total, config.hidden_size))
-    out_tokens = _append_encoder_layer(program, tokens, weights,
-                                       RaggedBatch(lengths), config, masked)
+    batch = RaggedBatch(lengths)
+    program = Program(_program_name("encoder", masked, 0, lengths),
+                      seq=batch.seq)
+    tokens = program.add_input("tokens",
+                               shape=(sum(lengths), config.hidden_size))
+    out_tokens = _append_encoder_layer(program, tokens, weights, batch,
+                                       config, masked)
     program.mark_output(out_tokens)
     return program
+
+
+def _program_name(kind: str, masked: bool, layers: int,
+                  lengths: Sequence[int]) -> str:
+    depth = f"x{layers}" if layers else ""
+    return (f"{kind}[{'masked' if masked else 'unmasked'}]"
+            f"{depth}b{len(lengths)}t{int(sum(lengths))}")
 
 
 def _weights_per_layer(weights, n_layers: Optional[int],
@@ -633,20 +639,46 @@ def build_encoder_stack_program(
     per_layer = _weights_per_layer(weights, n_layers,
                                    default_layers=config.num_layers)
     lengths = [int(n) for n in lengths]
-    total = sum(lengths)
-
-    program = Program(
-        f"encoder-stack[{'masked' if masked else 'unmasked'}]"
-        f"x{len(per_layer)}b{len(lengths)}t{total}")
-    value = program.add_input("tokens", shape=(total, config.hidden_size))
-    last = len(per_layer) - 1
     batch = RaggedBatch(lengths)    # one length function for every layer
+    program = Program(
+        _program_name("encoder-stack", masked, len(per_layer), lengths),
+        seq=batch.seq)
+    value = program.add_input("tokens",
+                              shape=(sum(lengths), config.hidden_size))
+    last = len(per_layer) - 1
     for i, layer_weights in enumerate(per_layer):
         value = _append_encoder_layer(
             program, value, layer_weights, batch, config, masked,
             prefix=f"L{i}.",
             out="out_tokens" if i == last else f"L{i}.out_tokens")
     program.mark_output(value)
+    return program
+
+
+def _structure_key(kind: str, lengths: Sequence[int], per_layer,
+                   config: TransformerConfig, masked: bool) -> tuple:
+    """What an encoder program's graph depends on besides the lengths:
+    the weights by identity, the configuration, the masking (with the
+    mask's size class) and the number of sequences."""
+    width = _mask_width(max(lengths, default=0)) if masked else 0
+    return (kind, tuple(id(w) for w in per_layer), width, len(lengths),
+            config.hidden_size, config.num_heads, config.head_size,
+            config.ff_size, config.loop_pad, config.bulk_pad,
+            config.attention_tile)
+
+
+def _bound_program(kind: str, lengths: Sequence[int], per_layer,
+                   config: TransformerConfig, masked: bool, session: Session,
+                   build) -> Program:
+    """``session``'s program over ``lengths``, memoized per signature;
+    from the process-wide structure table, which pins the weights."""
+    lengths = tuple(int(n) for n in lengths)
+    key = _structure_key(kind, lengths, per_layer, config, masked)
+    layers = len(per_layer) if kind == "encoder-stack" else 0
+    program, _pinned = session.memoize((key, lengths), lambda: (session.bind(
+        key, lengths, lambda: build(lengths),
+        _program_name(kind, masked, layers, lengths), pinned=per_layer),
+        per_layer))
     return program
 
 
@@ -659,17 +691,12 @@ def encoder_program(
 ) -> Program:
     """The encoder program for one raggedness signature, memoized on the
     session (keyed by lengths, weights identity, config and masking; the
-    weights object is pinned for the lifetime of the memo entry)."""
-    session = session or default_session()
-    lengths = tuple(int(n) for n in lengths)
-    key = ("encoder-program", lengths, id(weights), bool(masked),
-           config.hidden_size, config.num_heads, config.head_size,
-           config.ff_size, config.loop_pad, config.bulk_pad,
-           config.attention_tile)
-    program, _pinned = session.memoize(
-        key, lambda: (build_encoder_program(lengths, weights, config,
-                                            masked), weights))
-    return program
+    weights object is pinned for the lifetime of the memo entry) and bound
+    from the process-wide structure of its sequence count."""
+    return _bound_program(
+        "encoder", lengths, [weights], config, masked,
+        session or default_session(),
+        lambda lens: build_encoder_program(lens, weights, config, masked))
 
 
 def encoder_stack_program(
@@ -684,20 +711,20 @@ def encoder_stack_program(
     memoized on the session (keyed by lengths, the per-layer weight
     identities, config and masking; the weight objects are pinned for the
     lifetime of the memo entry).  With a single shared weight set,
-    ``n_layers`` defaults to ``config.num_layers``."""
-    session = session or default_session()
+    ``n_layers`` defaults to ``config.num_layers``.
+
+    The graph is built once per *structure* -- weights, configuration,
+    masking, depth and number of sequences -- in the process-wide table
+    (:meth:`Session.bind`); a never-seen signature of a known structure
+    gets it bound to its lengths, and its compile pays only the prelude.
+    """
     per_layer = _weights_per_layer(weights, n_layers,
                                    default_layers=config.num_layers)
-    lengths = tuple(int(n) for n in lengths)
-    key = ("encoder-stack-program", lengths,
-           tuple(id(w) for w in per_layer), bool(masked),
-           config.hidden_size, config.num_heads, config.head_size,
-           config.ff_size, config.loop_pad, config.bulk_pad,
-           config.attention_tile)
-    program, _pinned = session.memoize(
-        key, lambda: (build_encoder_stack_program(lengths, per_layer, config,
-                                                  masked), per_layer))
-    return program
+    return _bound_program(
+        "encoder-stack", lengths, per_layer, config, masked,
+        session or default_session(),
+        lambda lens: build_encoder_stack_program(lens, per_layer, config,
+                                                 masked))
 
 
 def run_encoder_stack_numeric(

@@ -347,6 +347,11 @@ def attnv_node(program: "Program", attn: str, v: str,
         _qkv_layout(batch, int(heads), int(head_size)), out=out)
 
 
+def _lengths_of(tensor: RaggedTensor) -> List[int]:
+    """The sequence lengths of a ``[batch, heads, s(b), ...]`` tensor."""
+    return tensor.layout.base_extents[2].table.tolist()
+
+
 def qkv_split_node(program: "Program", qkv: str,
                    lengths: "Sequence[int] | RaggedBatch", heads: int,
                    head_size: int, prefix: str = "qkv",
@@ -356,16 +361,16 @@ def qkv_split_node(program: "Program", qkv: str,
 
     A host marshalling node: the same reshape/transpose the op-by-op
     numeric path performs, writing straight into the planned arena
-    buffers.
+    buffers.  The lengths come from the bound output tensors, so one node
+    serves every signature of its program structure.
     """
     batch = RaggedBatch.of(lengths)
-    lens = batch.lens.tolist()
     heads, head_size = int(heads), int(head_size)
     layout = _qkv_layout(batch, heads, head_size)
 
     def _split(q_t, k_t, v_t, qkv_mat):
         start = 0
-        for b, s in enumerate(lens):
+        for b, s in enumerate(_lengths_of(q_t)):
             sl = qkv_mat[start:start + s]
             reshaped = sl.reshape(s, 3, heads, head_size).transpose(1, 2, 0, 3)
             q_t.set_slice(b, reshaped[0])
@@ -386,13 +391,12 @@ def attn_merge_node(program: "Program", attn: str,
                     out: Optional[str] = None) -> str:
     """Merge per-sequence ``[heads, s(b), head_size]`` attention outputs
     back into the packed ``(tokens, hidden)`` matrix (host marshalling)."""
-    lens = RaggedBatch.of(lengths).lens.tolist()
+    total = int(RaggedBatch.of(lengths).lens.sum())
     heads, head_size = int(heads), int(head_size)
-    total = sum(lens)
 
     def _merge(out_mat, attn_t):
         start = 0
-        for b, s in enumerate(lens):
+        for b, s in enumerate(_lengths_of(attn_t)):
             a = attn_t.valid_slice(b)
             out_mat[start:start + s] = a.transpose(1, 0, 2).reshape(
                 s, heads * head_size)

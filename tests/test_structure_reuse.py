@@ -20,10 +20,17 @@ sharing must guarantee:
   generate each structure of a cold table exactly once;
 * **anti-gaming**: after one signature of a model is compiled, never-seen
   length sets generate and byte-compile nothing and cost what an
-  already-seen length set costs -- nothing is keyed by length values.
+  already-seen length set costs -- nothing is keyed by length values;
+* **program structures**: one graph per (weights, configuration,
+  masking, depth, sequence count, plan mode); a program bound from it to
+  never-seen lengths computes bit for bit what a from-scratch compile on
+  cleared process tables computes, builds no structure and generates no
+  kernel, and a bind that fails midway leaves the table and the session
+  coherent.
 """
 
 import builtins
+import hashlib
 import statistics
 import sys
 import threading
@@ -34,9 +41,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import codegen_vector
+from repro.core import codegen, codegen_vector
 from repro.core.codegen import clear_structures
 from repro.core.dims import Dim
+from repro.core.errors import CompileError
 from repro.core.executor import Executor
 from repro.core.extents import ConstExtent, VarExtent
 from repro.core.ir import LoopVar
@@ -48,9 +56,11 @@ from repro.core.storage import RaggedLayout
 from repro.models.config import TransformerConfig
 from repro.models.transformer import (
     build_encoder_program,
+    build_encoder_stack_program,
     encoder_stack_program,
 )
 from repro.ops import attention
+from repro.serving import BatchScheduler, FaultInjector
 
 from test_store_through import (
     ORACLE_TOL,
@@ -591,3 +601,206 @@ class TestNothingIsKeyedByLengths:
         assert stats["structure_hits"] == 21 * kernels - generated
         assert stats["fallbacks"] == 0
         assert len(executor._kernel_cache) == 0
+
+
+# ---------------------------------------------------------------------------
+# (vi) program structures: one graph per structure, bound per batch
+# ---------------------------------------------------------------------------
+
+
+MODES = {"plain": {}, "inplace": {"inplace": True}, "fuse": {"fuse": True}}
+
+
+def sha1(array):
+    return hashlib.sha1(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def run_poisoned(session, program, tokens):
+    """Compile, fill the arena with NaNs, run."""
+    compiled = session.compile(program)
+    for slab in compiled._slabs:
+        slab.fill(np.nan)
+    return session.run(program, {"tokens": tokens})["out_tokens"]
+
+
+@st.composite
+def two_signatures(draw):
+    """Two length sets of one sequence count (one structure)."""
+    n = draw(st.integers(1, 6))
+    lengths = st.lists(st.integers(1, 11), min_size=n, max_size=n)
+    return draw(lengths), draw(lengths)
+
+
+class TestProgramStructures:
+    @settings(max_examples=24, deadline=None)
+    @given(signatures=two_signatures(), masked=st.booleans(),
+           mode=st.sampled_from(sorted(MODES)), depth=st.sampled_from([1, 2]))
+    @example(signatures=([4, 4, 4], [1, 1, 9]), masked=True, mode="plain",
+             depth=2)                                   # ones, duplicates
+    @example(signatures=([7], [1]), masked=False, mode="fuse", depth=1)
+    @example(signatures=([2, 9], [5, 5]), masked=True, mode="inplace",
+             depth=1)
+    @example(signatures=([3, 11, 1], [11, 1, 3]), masked=False,
+             mode="inplace", depth=2)
+    def test_a_bound_program_is_bit_identical_to_a_scratch_compile(
+            self, signatures, masked, mode, depth):
+        first, second = signatures
+        tokens = packed_tokens(second, SMALL.hidden_size, 5)
+        clear_structures()
+        warm = Session(executor=Executor(), **MODES[mode])
+        template = encoder_stack_program(first, WEIGHTS, SMALL, masked=masked,
+                                         n_layers=depth, session=warm)
+        warm.compile(template)
+
+        session = Session(executor=Executor(), **MODES[mode])
+        program = encoder_stack_program(second, WEIGHTS, SMALL, masked=masked,
+                                        n_layers=depth, session=session)
+        assert program.structure is template.structure
+        assert program is not template
+        bound = run_poisoned(session, program, tokens)
+        stats = session.stats()
+        assert (stats["structure_builds"], stats["binds"]) == (0, 1)
+        assert stats["codegen"]["structures_generated"] == 0
+        assert stats["codegen"]["fallbacks"] == 0
+
+        clear_structures()
+        scratch = run_poisoned(
+            Session(executor=Executor(), **MODES[mode]),
+            build_encoder_stack_program(second, WEIGHTS, SMALL, masked=masked,
+                                        n_layers=depth), tokens)
+        assert sha1(bound) == sha1(scratch)
+        assert not np.isnan(bound).any()
+
+    def test_never_seen_signatures_build_no_structure_and_bind_in_seen_time(
+            self, monkeypatch):
+        weights = make_weights(SERVE, 0)
+        rng = np.random.default_rng(17)
+        draw = lambda: [int(n) for n in rng.integers(4, 33, size=8)]
+        clear_structures()
+        _, first = TestNothingIsKeyedByLengths.compile_fresh(
+            draw(), masked=True, weights=weights)
+        assert first.stats()["structure_builds"] == 1
+
+        generated = {"source": 0}
+        real_source = codegen_vector.VectorCodeGenerator.generate_source
+
+        def counting_source(self):
+            generated["source"] += 1
+            return real_source(self)
+
+        monkeypatch.setattr(codegen_vector.VectorCodeGenerator,
+                            "generate_source", counting_source)
+        seen = [draw() for _ in range(4)]
+        for lengths in seen:
+            TestNothingIsKeyedByLengths.compile_fresh(lengths, masked=True,
+                                                      weights=weights)
+        seen_times, fresh_times = [], []
+        for k in range(20):
+            elapsed, session = TestNothingIsKeyedByLengths.compile_fresh(
+                draw(), masked=True, weights=weights)
+            fresh_times.append(elapsed)
+            stats = session.stats()
+            assert (stats["structure_builds"], stats["binds"]) == (0, 1)
+            assert stats["codegen"]["structures_generated"] == 0
+            seen_times.append(TestNothingIsKeyedByLengths.compile_fresh(
+                seen[k % len(seen)], masked=True, weights=weights)[0])
+        assert generated["source"] == 0
+        ratio = statistics.median(fresh_times) / statistics.median(seen_times)
+        assert 0.85 <= ratio <= 1.15, (ratio, statistics.median(seen_times))
+
+    def test_clear_structures_empties_the_program_table(self):
+        weights = make_weights(SERVE, 2)
+        TestNothingIsKeyedByLengths.compile_fresh([5, 6], weights=weights)
+        _, warm = TestNothingIsKeyedByLengths.compile_fresh([7, 2],
+                                                            weights=weights)
+        assert warm.stats()["structure_builds"] == 0
+        assert len(codegen._PROGRAMS) > 0
+        clear_structures()
+        assert len(codegen._PROGRAMS) == 0
+        _, cold = TestNothingIsKeyedByLengths.compile_fresh([7, 2],
+                                                            weights=weights)
+        assert cold.stats()["structure_builds"] == 1
+
+    def test_a_bind_failing_midway_leaves_table_and_session_coherent(
+            self, monkeypatch):
+        weights = make_weights(SERVE, 3)
+        clear_structures()
+        TestNothingIsKeyedByLengths.compile_fresh([9, 4, 7], weights=weights)
+        session = Session(executor=Executor())
+        program = encoder_stack_program([5, 8, 2], weights, SERVE,
+                                        n_layers=2, session=session)
+        structure = program.structure
+        real = Executor.compile
+        calls = []
+
+        def failing(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise CompileError("injected midway through a bind")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Executor, "compile", failing)
+        with pytest.raises(CompileError):
+            session.compile(program)
+        monkeypatch.undo()
+        assert session.compiled_program(program) is None
+        assert session.stats()["binds"] == 0
+
+        again = encoder_stack_program([5, 8, 2], weights, SERVE, n_layers=2,
+                                      session=session)
+        assert again is program and again.structure is structure
+        tokens = packed_tokens([5, 8, 2], SERVE.hidden_size, 9)
+        bound = run_poisoned(session, again, tokens)
+        assert session.stats()["binds"] == 1
+        assert session.stats()["structure_builds"] == 0
+        clear_structures()
+        scratch = run_poisoned(
+            Session(executor=Executor()),
+            build_encoder_stack_program([5, 8, 2], weights, SERVE,
+                                        n_layers=2), tokens)
+        assert sha1(bound) == sha1(scratch)
+
+    def test_a_compile_fault_on_a_bind_degrades_like_a_compile(self):
+        lengths = (5, 3, 8, 2, 6, 4, 7, 1)
+        rng = np.random.default_rng(4)
+        stream = [rng.standard_normal((n, SMALL.hidden_size))
+                  .astype(np.float32) for n in lengths]
+
+        def drain(injector=None):
+            scheduler = BatchScheduler(
+                WEIGHTS, SMALL, masked=True, max_batch_size=4,
+                session=Session(backend="vector", fault_injector=injector))
+            ids = scheduler.submit_many(stream)
+            results = scheduler.drain()
+            return [results[i] for i in ids], scheduler
+
+        clear_structures()
+        want, _ = drain()                       # warms every structure
+        injector = FaultInjector(seed=0)
+        injector.add("compile", error=CompileError, max_fires=1)
+        got, scheduler = drain(injector)
+        assert injector.fires["compile"] == 1
+        stats = scheduler.stats()
+        assert stats["degraded_batches"] == 1
+        assert stats["failed_requests"] == 0
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
+        session = scheduler.session.stats()
+        assert session["structure_builds"] == 0
+        assert session["binds"] == session["program_compiles"] > 0
+
+
+def test_flops_count_the_host_nodes():
+    """Host nodes declare their GEMM flops a row: a compiled program's
+    count is the kernels' plus exactly the four linears'."""
+    lengths = [5, 3, 8]
+    h, f, layers = SMALL.hidden_size, SMALL.ff_size, 2
+    for mode in MODES.values():
+        session = Session(executor=Executor(), **mode)
+        compiled = session.compile(build_encoder_stack_program(
+            lengths, WEIGHTS, SMALL, masked=True, n_layers=layers))
+        kernels = sum(k.flops for k in (*compiled.kernels.values(),
+                                        *compiled.fused_kernels.values()))
+        assert kernels > 0
+        assert compiled.flops - kernels == \
+            2 * sum(lengths) * (h * 3 * h + h * h + 2 * h * f) * layers
+        assert compiled.stats()["flops_per_run"] == compiled.flops
